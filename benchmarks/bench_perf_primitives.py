@@ -175,16 +175,24 @@ def test_perf_browser_visit(benchmark):
     assert result.status == "ok"
 
 
-# -- fastpath vs reference detection hot paths -------------------------------
+# -- production detection hot paths vs their reference oracles ---------------
 #
-# Same workload through both implementations, so every row in the summary
-# has a visible twin and BENCH_SUMMARY.json carries the speedup CI gates on.
+# Same workload through the production matcher and the rule-by-rule oracle
+# the test suite checks it against, so every row in the summary has a
+# visible twin and BENCH_SUMMARY.json carries the speedup CI gates on.
+
+import pathlib  # noqa: E402
+import sys  # noqa: E402
 
 from repro.core import fastpath  # noqa: E402
-from repro.core.signatures import unordered_signature, whole_module_signature  # noqa: E402
 from repro.web.html import extract_scripts, scan_scripts  # noqa: E402
 
+# the oracle lives in the test package at the repository root
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+from tests.nocoin_oracle import OracleFilterList  # noqa: E402
+
 _NOCOIN = default_nocoin_list().warm()
+_ORACLE = OracleFilterList(_NOCOIN)
 #: ~500 mostly-clean URLs with a sprinkle of hits — the shape of a real
 #: crawl, where nearly every URL walks the whole rule list before "clean"
 _URLS = [
@@ -197,43 +205,27 @@ _URLS = [
 ] * 5
 
 
-def _match_all_urls():
-    return [_NOCOIN.match_url(url) for url in _URLS]
+def _match_all_urls(filters=_NOCOIN):
+    return [filters.explain_url(url) for url in _URLS]
 
 
 def test_perf_filter_urls_fastpath(benchmark):
-    with fastpath.configure(True):
-        benchmark(_match_all_urls)
+    benchmark(_match_all_urls)
 
 
 def test_perf_filter_urls_reference(benchmark):
-    with fastpath.configure(False):
-        benchmark(_match_all_urls)
+    benchmark(_match_all_urls, _ORACLE)
 
 
 def test_perf_wasm_signature_memoized(benchmark):
     cache = fastpath.WasmCache()
     cache.ordered_signature(_WASM)  # warm: steady state is all hits
 
-    def lookup():
-        return (
-            cache.ordered_signature(_WASM),
-            cache.unordered_signature(_WASM),
-            cache.whole_module_signature(_WASM),
-        )
-
-    benchmark(lookup)
+    benchmark(cache.ordered_signature, _WASM)
 
 
 def test_perf_wasm_signature_reference(benchmark):
-    def recompute():
-        return (
-            wasm_signature(_WASM),
-            unordered_signature(_WASM),
-            whole_module_signature(_WASM),
-        )
-
-    benchmark(recompute)
+    benchmark(wasm_signature, _WASM)
 
 
 def test_perf_html_scan_fastpath(benchmark):
@@ -264,20 +256,16 @@ def test_fastpath_speedup_summary():
             times.append(time.perf_counter() - start)
         return min(times)
 
-    with fastpath.configure(True):
-        fast_urls = best_of(_match_all_urls)
-    with fastpath.configure(False):
-        ref_urls = best_of(_match_all_urls)
+    fast_urls = best_of(_match_all_urls)
+    ref_urls = best_of(lambda: _match_all_urls(_ORACLE))
 
     fast_scan = best_of(lambda: scan_scripts(_HTML))
     ref_scan = best_of(lambda: extract_scripts(_HTML))
 
     cache = fastpath.WasmCache()
     cache.ordered_signature(_WASM)
-    fast_sig = best_of(
-        lambda: (cache.ordered_signature(_WASM), cache.unordered_signature(_WASM))
-    )
-    ref_sig = best_of(lambda: (wasm_signature(_WASM), unordered_signature(_WASM)))
+    fast_sig = best_of(lambda: cache.ordered_signature(_WASM))
+    ref_sig = best_of(lambda: wasm_signature(_WASM))
 
     payload = {
         "rule_count": len(_NOCOIN),

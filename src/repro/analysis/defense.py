@@ -115,7 +115,9 @@ def evaluate_coverage(reports, augmented: FilterList) -> CoverageComparison:
             base += 1
             aug += 1
             continue
-        if any(augmented.match_url(url) for url in report.websocket_urls):
+        if any(
+            augmented.explain_url(url) is not None for url in report.websocket_urls
+        ):
             aug += 1
     return CoverageComparison(
         miners_total=total, covered_by_base=base, covered_by_augmented=aug

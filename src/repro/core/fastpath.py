@@ -1,30 +1,30 @@
 """Batch/automaton hot paths for the detection cascade.
 
-The reference detectors are deliberately simple — rule-by-rule
-``re.search`` loops, a fresh wasm decode per lookup, a full DOM build per
-page. At paper scale (138M domains) those loops are the entire wall
-clock. This module provides the batched equivalents:
+Rule-by-rule ``re.search`` loops, a fresh wasm decode per lookup and a
+full DOM build per page are the simplest correct detectors, but at paper
+scale (138M domains) those loops are the entire wall clock. This module
+holds the batched matchers the detectors run on:
 
 - :class:`CompiledFilterSet` — a whole :class:`~repro.core.nocoin.FilterList`
   compiled into one alternation regex-set (plus an :class:`AhoCorasick`
   literal prefilter), matched once per URL/text instead of O(rules)
   searches, with match indices mapped back to the originating rule so
   evidence provenance (source, line number, matched span, exception
-  handling) is unchanged;
+  handling) is exact;
 - :class:`WasmCache` — a bounded content-hash LRU memoizing module
-  decodes, function-body extraction, and the three signature digests,
-  shared across a shard (one instance per worker process);
-- the module-level ``--fastpath`` switch threaded through the CLI.
+  decodes, function-body extraction, the ordered signature digest and
+  feature extraction, shared across a shard (one instance per worker
+  process).
 
-Everything here is an *equivalence-preserving* rewrite: for any input,
-the fast path must return byte-identical results to the reference path.
-``tests/test_fastpath_differential.py`` enforces that with generated
-rules, URLs, inline text, and whole campaigns.
+The rule-by-rule loops survive only as the test oracle
+(``tests/nocoin_oracle.py``); ``tests/test_fastpath_differential.py``
+checks these matchers against it with generated rules, URLs, inline
+text, and whole campaigns.
 
 Correctness of the combined automaton rests on one observation: a
 Python alternation match is found at the leftmost position ``p`` where
 *any* alternative matches, taking the first alternative that matches at
-``p``. The reference semantics is "first rule in *list order* matching
+``p``. The required semantics is "first rule in *list order* matching
 anywhere". So when alternative ``k`` wins the combined search, no rule
 matches before position ``p``; rules ``j < k`` may still match at later
 positions, so they are re-checked individually — but when the combined
@@ -37,40 +37,10 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import OrderedDict, deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.wasm.decoder import WasmDecodeError, decode_module, function_body_bytes
-
-# --------------------------------------------------------------------------
-# The switch. Default on; ``--no-fastpath`` selects the reference paths.
-# --------------------------------------------------------------------------
-
-_enabled = True
-
-
-def enabled() -> bool:
-    """Whether the optimized paths are active (the ``--fastpath`` flag)."""
-    return _enabled
-
-
-def set_enabled(value: bool) -> None:
-    global _enabled
-    _enabled = bool(value)
-
-
-@contextmanager
-def configure(value: bool):
-    """Temporarily force the fast paths on/off (tests, twin runs)."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(value)
-    try:
-        yield
-    finally:
-        _enabled = previous
-
 
 # --------------------------------------------------------------------------
 # Aho-Corasick literal automaton
@@ -237,11 +207,10 @@ class CompiledFilterSet:
     """A whole filter list compiled for one-pass matching.
 
     Wraps the list's :class:`~repro.core.nocoin.CompiledRule` sequence
-    (list order preserved) and answers the same three questions the
-    reference loops answer — first URL match, any URL exception, first
-    text match — returning ``(compiled_rule, matched_span)`` so the
-    caller can build identical :class:`~repro.core.nocoin.FilterMatch`
-    evidence.
+    (list order preserved) and answers three questions — first URL match
+    in list order, any URL exception, first text match — returning
+    ``(compiled_rule, matched_span)`` so the caller can build exact
+    :class:`~repro.core.nocoin.FilterMatch` evidence.
     """
 
     def __init__(self, compiled_rules, compiled_exceptions) -> None:
@@ -330,7 +299,7 @@ class CompiledFilterSet:
         """First rule (list order) matching ``url`` → ``(compiled, span)``.
 
         Exception rules are *not* consulted here — the caller applies
-        them after, exactly like the reference loop does.
+        them after (:meth:`any_exception_url`).
         """
         if url.isascii():
             lowered = url.lower()
@@ -458,33 +427,16 @@ DEFAULT_CACHE_CAPACITY = 512
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction tallies with the registry merge law.
+    """Hit/miss/eviction tallies for one :class:`WasmCache`.
 
     Kept *off* the campaign's :class:`~repro.obs.metrics.MetricsRegistry`
-    on purpose: fastpath and reference runs must produce byte-identical
-    metrics, so cache telemetry lives beside the cache and merges across
-    shards on its own.
+    on purpose: runs with a cold and a warm cache must produce
+    byte-identical metrics, so cache telemetry lives beside the cache.
     """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-        return self
-
-    def as_registry(self):
-        """The same tallies as ``fastpath.cache.*`` counters."""
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.inc("fastpath.cache.hits", self.hits)
-        registry.inc("fastpath.cache.misses", self.misses)
-        registry.inc("fastpath.cache.evictions", self.evictions)
-        return registry
 
 
 class WasmCache:
@@ -492,9 +444,8 @@ class WasmCache:
 
     Keyed by content (SHA-256 of the raw bytes), so the many sites
     serving the *same* miner module — the paper's central observation —
-    share one decode and one set of digests. The content hash doubles as
-    the whole-module signature, making that digest free on every lookup.
-    Decode failures are cached too: garbage bytes fail fast on re-probe.
+    share one decode and one set of digests. Decode failures are cached
+    too: garbage bytes fail fast on re-probe.
     """
 
     def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY) -> None:
@@ -508,13 +459,12 @@ class WasmCache:
         return len(self._entries)
 
     def _entry(self, wasm_bytes: bytes) -> tuple:
-        digest = hashlib.sha256(wasm_bytes)
-        key = digest.digest()
+        key = hashlib.sha256(wasm_bytes).digest()
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
             return entry, True
-        entry = {"whole": digest.hexdigest()}
+        entry = {}
         self._entries[key] = entry
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -533,7 +483,7 @@ class WasmCache:
         self.stats.misses += 1
         if name not in entry:
             try:
-                entry[name] = compute(entry)
+                entry[name] = compute()
             except WasmDecodeError as exc:
                 entry[name + "_error"] = str(exc)
                 raise
@@ -542,13 +492,13 @@ class WasmCache:
     def module(self, wasm_bytes: bytes):
         """Decoded :class:`~repro.wasm.decoder.Module` (memoized)."""
         return self._field(
-            wasm_bytes, "module", lambda entry: decode_module(wasm_bytes)
+            wasm_bytes, "module", lambda: decode_module(wasm_bytes)
         )
 
     def bodies(self, wasm_bytes: bytes) -> list:
         """Raw function bodies in module order (memoized)."""
         return self._field(
-            wasm_bytes, "bodies", lambda entry: function_body_bytes(wasm_bytes)
+            wasm_bytes, "bodies", lambda: function_body_bytes(wasm_bytes)
         )
 
     def ordered_signature(self, wasm_bytes: bytes) -> str:
@@ -557,20 +507,8 @@ class WasmCache:
         return self._field(
             wasm_bytes,
             "ordered",
-            lambda entry: digest_bodies(self.bodies(wasm_bytes)),
+            lambda: digest_bodies(self.bodies(wasm_bytes)),
         )
-
-    def unordered_signature(self, wasm_bytes: bytes) -> str:
-        from repro.core.signatures import digest_bodies
-
-        return self._field(
-            wasm_bytes,
-            "unordered",
-            lambda entry: digest_bodies(sorted(self.bodies(wasm_bytes))),
-        )
-
-    def whole_module_signature(self, wasm_bytes: bytes) -> str:
-        return self._field(wasm_bytes, "whole", lambda entry: entry["whole"])
 
     def features(self, wasm_bytes: bytes):
         from repro.core.features import extract_features
@@ -578,7 +516,7 @@ class WasmCache:
         return self._field(
             wasm_bytes,
             "features",
-            lambda entry: extract_features(self.module(wasm_bytes)),
+            lambda: extract_features(self.module(wasm_bytes)),
         )
 
 

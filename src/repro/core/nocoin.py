@@ -11,7 +11,7 @@ adblock-nocoin-list] actually uses:
   ``script`` honored and the rest recorded),
 - ``!`` comments and ``[Adblock Plus]`` headers.
 
-The engine matches script-src URLs; :meth:`FilterList.match_text` applies
+The engine matches script-src URLs; :meth:`FilterList.explain_text` applies
 the same patterns to inline script text, reproducing how the paper ran the
 list over extracted ``<script>`` tags. The bundled default list mirrors the
 2018 NoCoin list's character — including overbroad rules (``cpmstar``) that
@@ -87,23 +87,18 @@ class CompiledRule:
     def matches_url(self, url: str) -> bool:
         return bool(self.matcher.search(url))
 
-    def matches_text(self, text: str, lowered: Optional[str] = None) -> bool:
-        # inline text has no scheme; strip the URL anchor for text scans.
-        # ``lowered`` lets list-level scans lower the document once
-        # instead of once per rule.
-        if self.rule.domain_anchor:
-            if lowered is None:
-                lowered = text.lower()
-            return self.rule.pattern.split("^")[0].lower() in lowered
-        return bool(self.matcher.search(text))
-
     def find_url(self, url: str) -> Optional[str]:
-        """The matched URL span, or None — the explainable ``matches_url``."""
+        """The matched URL span, or None."""
         found = self.matcher.search(url)
         return found.group(0) if found is not None else None
 
     def find_text(self, text: str, lowered: Optional[str] = None) -> Optional[str]:
-        """The matched text span, or None — the explainable ``matches_text``."""
+        """The matched text span, or None.
+
+        Inline text has no scheme, so a domain-anchored rule matches by
+        lowercase containment of its pre-``^`` host. ``lowered`` lets
+        list-level scans lower the document once instead of once per rule.
+        """
         if self.rule.domain_anchor:
             needle = self.rule.pattern.split("^")[0].lower()
             if lowered is None:
@@ -130,7 +125,8 @@ class FilterMatch:
 
 
 class FilterListError(ValueError):
-    """Raised for unparseable filter rules."""
+    """Raised for unparseable filter rules; :meth:`FilterList.from_lines`
+    prefixes the message with the offending ``source:line_number``."""
 
 
 def parse_rule(
@@ -203,12 +199,20 @@ class FilterList:
 
         Each parsed rule carries ``(source, line_number)`` provenance —
         line numbers are 1-based over ``lines`` including comments and
-        blanks, matching how the list file reads.
+        blanks, matching how the list file reads. A bad rule raises
+        :class:`FilterListError` citing the same ``source:line_number``.
         """
         instance = cls()
         for line_number, line in enumerate(lines, start=1):
             label = (labels or {}).get(line.strip(), "")
-            rule = parse_rule(line, label=label, source=source, line_number=line_number)
+            try:
+                rule = parse_rule(
+                    line, label=label, source=source, line_number=line_number
+                )
+            except FilterListError as exc:
+                raise FilterListError(
+                    f"{source or '<list>'}:{line_number}: {exc}"
+                ) from None
             if rule is not None:
                 instance.add(rule)
         return instance
@@ -235,103 +239,38 @@ class FilterList:
         self._fast()
         return self
 
-    def match_url(self, url: str) -> Optional[FilterRule]:
-        """First matching (non-excepted) rule for a script URL, or None.
+    def explain_url(self, url: str) -> Optional[FilterMatch]:
+        """First matching (non-excepted) rule for a script URL, with the
+        span it matched, or None.
 
         ``$script`` options need no handling here: callers only pass
         script-src URLs, which is exactly the resource type those rules
         target.
         """
-        if fastpath.enabled():
-            found = self._fast().find_url(url)
-            if found is None:
-                return None
-            if self._fast().any_exception_url(url):
-                return None
-            return found[0].rule
-        for compiled in self._compiled:
-            if compiled.matches_url(url):
-                if any(exc.matches_url(url) for exc in self._exceptions):
-                    return None
-                return compiled.rule
-        return None
-
-    def match_text(self, text: str) -> Optional[FilterRule]:
-        """First rule whose pattern occurs in inline script text, or None."""
-        if not text:
+        fast = self._fast()
+        found = fast.find_url(url)
+        if found is None or fast.any_exception_url(url):
             return None
-        if fastpath.enabled():
-            found = self._fast().find_text(text)
-            return found[0].rule if found is not None else None
-        lowered = text.lower()
-        for compiled in self._compiled:
-            if compiled.matches_text(text, lowered):
-                return compiled.rule
-        return None
-
-    def match_scripts(self, scripts) -> list:
-        """Match ``(src, inline)`` script pairs; returns matching rules."""
-        hits = []
-        for src, inline in scripts:
-            rule = None
-            if src:
-                rule = self.match_url(src)
-            if rule is None and inline:
-                rule = self.match_text(inline)
-            if rule is not None:
-                hits.append(rule)
-        return hits
-
-    # -- explained matching (evidence provenance) --------------------------------
-
-    def explain_url(self, url: str) -> Optional[FilterMatch]:
-        """Like :meth:`match_url`, but returns the rule *and* matched span."""
-        if fastpath.enabled():
-            found = self._fast().find_url(url)
-            if found is None:
-                return None
-            if self._fast().any_exception_url(url):
-                return None
-            compiled, matched = found
-            return FilterMatch(
-                rule=compiled.rule, where="url", subject=url, matched=matched
-            )
-        for compiled in self._compiled:
-            matched = compiled.find_url(url)
-            if matched is not None:
-                if any(exc.matches_url(url) for exc in self._exceptions):
-                    return None
-                return FilterMatch(
-                    rule=compiled.rule, where="url", subject=url, matched=matched
-                )
-        return None
+        compiled, matched = found
+        return FilterMatch(rule=compiled.rule, where="url", subject=url, matched=matched)
 
     def explain_text(self, text: str) -> Optional[FilterMatch]:
-        """Like :meth:`match_text`, but returns the rule and matched span."""
+        """First rule whose pattern occurs in inline script text, with the
+        span it matched, or None."""
         if not text:
             return None
-        if fastpath.enabled():
-            found = self._fast().find_text(text)
-            if found is None:
-                return None
-            compiled, matched = found
-            subject = text if len(text) <= 120 else text[:117] + "..."
-            return FilterMatch(
-                rule=compiled.rule, where="text", subject=subject, matched=matched
-            )
-        lowered = text.lower()
-        for compiled in self._compiled:
-            matched = compiled.find_text(text, lowered)
-            if matched is not None:
-                subject = text if len(text) <= 120 else text[:117] + "..."
-                return FilterMatch(
-                    rule=compiled.rule, where="text", subject=subject, matched=matched
-                )
-        return None
+        found = self._fast().find_text(text)
+        if found is None:
+            return None
+        compiled, matched = found
+        subject = text if len(text) <= 120 else text[:117] + "..."
+        return FilterMatch(
+            rule=compiled.rule, where="text", subject=subject, matched=matched
+        )
 
     def explain_scripts(self, scripts) -> list:
-        """Explained variant of :meth:`match_scripts`: one
-        :class:`FilterMatch` per hit, same rule-selection order."""
+        """Match ``(src, inline)`` script pairs: one :class:`FilterMatch`
+        per hit, the URL tried before the inline text."""
         matches = []
         for src, inline in scripts:
             match = None
@@ -342,6 +281,10 @@ class FilterList:
             if match is not None:
                 matches.append(match)
         return matches
+
+    def match_scripts(self, scripts) -> list:
+        """The rules of :meth:`explain_scripts`' hits."""
+        return [match.rule for match in self.explain_scripts(scripts)]
 
     def __len__(self) -> int:
         return len(self.rules)

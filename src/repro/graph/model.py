@@ -188,46 +188,51 @@ def parse_graph_jsonl(text: str) -> Graph:
     """Inverse of :func:`graph_to_jsonl` (lossless round-trip).
 
     Accepts headerless legacy files — node and edge lines always carry
-    ``id`` or ``src``, so the header is unambiguous.
+    ``id`` or ``src``, so the header is unambiguous. A bad line raises
+    :class:`GraphSchemaError` naming its 1-based line in ``text``.
     """
     graph = Graph()
-    lines = [line for line in text.splitlines() if line.strip()]
-    if lines:
-        try:
-            first = json.loads(lines[0])
-        except ValueError as exc:
-            raise GraphSchemaError(f"malformed graph line: {lines[0]!r}") from exc
-        if (
-            isinstance(first, dict)
-            and "schema_version" in first
-            and "id" not in first
-            and "src" not in first
-        ):
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    records = [(n, _graph_record(n, line)) for n, line in lines]
+    if records:
+        _, first = records[0]
+        if "schema_version" in first and "id" not in first and "src" not in first:
             version = first["schema_version"]
             if not isinstance(version, int) or version < 1:
-                raise GraphSchemaError(f"malformed graph schema header: {lines[0]!r}")
+                raise GraphSchemaError(f"malformed graph schema header: {lines[0][1]!r}")
             if version > GRAPH_SCHEMA_VERSION:
                 raise GraphSchemaError(
                     f"graph file uses schema v{version}, but this reader only "
                     f"understands up to v{GRAPH_SCHEMA_VERSION} — upgrade repro"
                 )
-            lines = lines[1:]
-    for line in lines:
+            records = records[1:]
+    for number, record in records:
         try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise GraphSchemaError(f"malformed graph line: {line!r}") from exc
-        if "id" in record:
-            graph.nodes[record["id"]] = (
-                record.get("kind", node_kind(record["id"])),
-                _explode(record.get("attrs", {})),
-            )
-        elif "src" in record:
-            key = (record.get("kind", ""), record["src"], record["dst"])
-            graph.edges[key] = _explode(record.get("attrs", {}))
-        else:
-            raise GraphSchemaError(f"graph line is neither node nor edge: {line!r}")
+            if "id" in record:
+                graph.nodes[record["id"]] = (
+                    record.get("kind", node_kind(record["id"])),
+                    _explode(record.get("attrs", {})),
+                )
+            elif "src" in record:
+                key = (record.get("kind", ""), record["src"], record["dst"])
+                graph.edges[key] = _explode(record.get("attrs", {}))
+            else:
+                raise GraphSchemaError(
+                    f"graph line {number} is neither node nor edge: {record!r}"
+                )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise GraphSchemaError(f"malformed graph line {number}: {exc!r}") from exc
     return graph
+
+
+def _graph_record(number: int, line: str) -> dict:
+    try:
+        record = json.loads(line)
+    except ValueError as exc:
+        raise GraphSchemaError(f"malformed graph line {number}: {line!r}") from exc
+    if not isinstance(record, dict):
+        raise GraphSchemaError(f"malformed graph line {number}: {line!r}")
+    return record
 
 
 def write_graph_jsonl(path, graph: Graph) -> int:

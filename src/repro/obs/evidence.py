@@ -179,22 +179,43 @@ def parse_verdicts_jsonl(text: str) -> list:
     """Inverse of :func:`verdicts_to_jsonl` (lossless round-trip).
 
     Accepts both headered files and legacy headerless ones — a verdict
-    line always carries ``subject``, so the header is unambiguous.
+    line always carries ``subject``, so the header is unambiguous. A bad
+    line raises :class:`VerdictSchemaError` naming its 1-based line in
+    ``text``.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if lines:
-        first = json.loads(lines[0])
-        if isinstance(first, dict) and "schema_version" in first and "subject" not in first:
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    records = [(n, _verdict_record(n, line)) for n, line in lines]
+    if records:
+        _, first = records[0]
+        if "schema_version" in first and "subject" not in first:
             version = first["schema_version"]
             if not isinstance(version, int) or version < 1:
-                raise VerdictSchemaError(f"malformed verdict schema header: {lines[0]!r}")
+                raise VerdictSchemaError(f"malformed verdict schema header: {lines[0][1]!r}")
             if version > EVIDENCE_SCHEMA_VERSION:
                 raise VerdictSchemaError(
                     f"verdicts file uses schema v{version}, but this reader only "
                     f"understands up to v{EVIDENCE_SCHEMA_VERSION} — upgrade repro"
                 )
-            lines = lines[1:]
-    return [VerdictRecord.from_dict(json.loads(line)) for line in lines]
+            records = records[1:]
+    verdicts = []
+    for number, record in records:
+        try:
+            verdicts.append(VerdictRecord.from_dict(record))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise VerdictSchemaError(
+                f"malformed verdict line {number}: {exc!r}"
+            ) from exc
+    return verdicts
+
+
+def _verdict_record(number: int, line: str) -> dict:
+    try:
+        record = json.loads(line)
+    except ValueError as exc:
+        raise VerdictSchemaError(f"malformed verdict line {number}: {line!r}") from exc
+    if not isinstance(record, dict):
+        raise VerdictSchemaError(f"malformed verdict line {number}: {line!r}")
+    return record
 
 
 def write_verdicts_jsonl(path, records: Iterable[VerdictRecord]) -> int:

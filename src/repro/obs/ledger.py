@@ -52,8 +52,7 @@ COMPLETE_MARKER = "COMPLETE"
 #: Campaign parameters that select an execution *strategy* rather than a
 #: workload. Two runs that differ only here are still comparable in
 #: ``repro obs diff`` — that is the whole point of diffing (e.g. a heavy
-#: fault profile against a clean baseline, 8 shards against 1, or the
-#: fastpath automatons against the rule-by-rule reference detectors).
+#: fault profile against a clean baseline, or 8 shards against 1).
 EXECUTION_PARAMS = frozenset(
     {
         "shards",
@@ -61,6 +60,8 @@ EXECUTION_PARAMS = frozenset(
         "executor",
         "fault_profile",
         "heartbeat",
+        # no longer a parameter; kept so manifests written while detection
+        # had a --fastpath/--no-fastpath switch still diff against new runs
         "fastpath",
         "timeseries_interval",
         "cooldown",

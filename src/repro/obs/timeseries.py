@@ -301,24 +301,24 @@ class TimeSeries:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "TimeSeries":
-        lines = [line for line in text.splitlines() if line.strip()]
+        lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
         interval = None
         records = []
         alerts = []
-        for index, line in enumerate(lines):
+        for index, (number, line) in enumerate(lines):
             try:
                 payload = json.loads(line)
             except ValueError as exc:
                 raise TimeSeriesSchemaError(
-                    f"malformed timeseries line {index + 1}: {line!r}"
+                    f"malformed timeseries line {number}: {line!r}"
                 ) from exc
             if not isinstance(payload, dict):
                 raise TimeSeriesSchemaError(
-                    f"malformed timeseries line {index + 1}: {line!r}"
+                    f"malformed timeseries line {number}: {line!r}"
                 )
             if index == 0 and "schema_version" in payload and "tick" not in payload:
                 version = payload["schema_version"]
-                if not isinstance(version, int):
+                if not isinstance(version, int) or version < 1:
                     raise TimeSeriesSchemaError(
                         f"malformed timeseries schema header: {line!r}"
                     )
@@ -330,14 +330,19 @@ class TimeSeries:
                     )
                 interval = payload.get("interval")
                 continue
-            if "alert" in payload:
-                alerts.append(AlertEvent.from_dict(payload["alert"]))
-            elif "tick" in payload:
-                records.append(TickRecord.from_dict(payload))
-            else:
+            if "alert" not in payload and "tick" not in payload:
                 raise TimeSeriesSchemaError(
-                    f"unrecognized timeseries line {index + 1}: {line!r}"
+                    f"unrecognized timeseries line {number}: {line!r}"
                 )
+            try:
+                if "alert" in payload:
+                    alerts.append(AlertEvent.from_dict(payload["alert"]))
+                else:
+                    records.append(TickRecord.from_dict(payload))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise TimeSeriesSchemaError(
+                    f"malformed timeseries line {number}: {exc!r}"
+                ) from exc
         if interval is None:
             # legacy headerless file: recover the tick width from the first
             # record's (end time / tick count) ratio, defaulting to 1s

@@ -184,22 +184,40 @@ def parse_jsonl(text: str) -> list:
     """Inverse of :func:`spans_to_jsonl` (lossless round-trip).
 
     Accepts both headered files and legacy headerless ones — a span line
-    always carries ``span_id``, so the header is unambiguous.
+    always carries ``span_id``, so the header is unambiguous. A bad line
+    raises :class:`TraceSchemaError` naming its 1-based line in ``text``.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if lines:
-        first = json.loads(lines[0])
-        if isinstance(first, dict) and "schema_version" in first and "span_id" not in first:
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    records = [(n, _trace_record(n, line)) for n, line in lines]
+    if records:
+        _, first = records[0]
+        if "schema_version" in first and "span_id" not in first:
             version = first["schema_version"]
             if not isinstance(version, int) or version < 1:
-                raise TraceSchemaError(f"malformed trace schema header: {lines[0]!r}")
+                raise TraceSchemaError(f"malformed trace schema header: {lines[0][1]!r}")
             if version > TRACE_SCHEMA_VERSION:
                 raise TraceSchemaError(
                     f"trace file uses schema v{version}, but this reader only "
                     f"understands up to v{TRACE_SCHEMA_VERSION} — upgrade repro"
                 )
-            lines = lines[1:]
-    return [Span.from_dict(json.loads(line)) for line in lines]
+            records = records[1:]
+    spans = []
+    for number, record in records:
+        try:
+            spans.append(Span.from_dict(record))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceSchemaError(f"malformed trace line {number}: {exc!r}") from exc
+    return spans
+
+
+def _trace_record(number: int, line: str) -> dict:
+    try:
+        record = json.loads(line)
+    except ValueError as exc:
+        raise TraceSchemaError(f"malformed trace line {number}: {line!r}") from exc
+    if not isinstance(record, dict):
+        raise TraceSchemaError(f"malformed trace line {number}: {line!r}")
+    return record
 
 
 def read_jsonl(path) -> list:

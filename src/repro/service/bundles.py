@@ -61,7 +61,7 @@ class DetectionBundle:
         """Package a bundle; defaults to the bundled list + reference db.
 
         The filter list's combined automaton is built here, at packaging
-        time, so a hot swap ships a warm fastpath and never pays compile
+        time, so a hot swap ships a warm automaton and never pays compile
         cost on the request path.
         """
         bundle = cls(

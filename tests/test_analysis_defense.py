@@ -45,9 +45,9 @@ class TestAugmentedList:
     def test_augmented_matches_new_endpoint(self):
         reports = [miner_report("a.com", ["wss://sneaky-pool.biz/ws"])]
         combined = augmented_list(generate_rules(reports, {}))
-        assert combined.match_url("wss://sneaky-pool.biz/ws") is not None
+        assert combined.explain_url("wss://sneaky-pool.biz/ws") is not None
         # base rules still present
-        assert combined.match_url("https://coinhive.com/lib/coinhive.min.js") is not None
+        assert combined.explain_url("https://coinhive.com/lib/coinhive.min.js") is not None
 
 
 class TestCoverage:

@@ -61,6 +61,17 @@ class TestNoCoin:
         rules.write_text("! comment\n||evil.example^\n")
         assert main(["nocoin", "--list", str(rules), str(page)]) == 2
 
+    def test_bad_rule_cites_list_line_without_traceback(self, tmp_path, capsys):
+        page = tmp_path / "page.html"
+        page.write_text("<html></html>")
+        rules = tmp_path / "rules.txt"
+        rules.write_text("! comment\n/a(/\n")
+        assert main(["nocoin", "--list", str(rules), str(page)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {rules}:2: bad regex rule")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestCampaignCommands:
     def test_crawl_net(self, capsys):

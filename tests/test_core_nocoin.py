@@ -41,8 +41,11 @@ class TestParsing:
         # not as a raw re.error later when the list compiles the rule
         with pytest.raises(FilterListError, match="bad regex rule"):
             parse_rule("/*/")
-        with pytest.raises(FilterListError):
+        # from_lines cites the list and the 1-based line of the bad rule
+        with pytest.raises(FilterListError, match=r"^<list>:2: bad regex rule"):
             FilterList.from_lines(["||coinhive.com^", "/a{2,1}/"])
+        with pytest.raises(FilterListError, match=r"^custom\.txt:2: empty rule body"):
+            FilterList.from_lines(["! c", "||"], source="custom.txt")
 
 
 class TestUrlMatching:
@@ -51,58 +54,58 @@ class TestUrlMatching:
         return default_nocoin_list()
 
     def test_official_coinhive_url(self, nocoin):
-        rule = nocoin.match_url("https://coinhive.com/lib/coinhive.min.js")
-        assert rule is not None
-        assert rule.label == "coinhive"
+        match = nocoin.explain_url("https://coinhive.com/lib/coinhive.min.js")
+        assert match is not None
+        assert match.rule.label == "coinhive"
 
     def test_subdomain_matches_domain_anchor(self, nocoin):
-        assert nocoin.match_url("https://cdn.coinhive.com/lib/x.js") is not None
+        assert nocoin.explain_url("https://cdn.coinhive.com/lib/x.js") is not None
 
     def test_domain_anchor_requires_label_boundary(self, nocoin):
         # notcoinhive.com must NOT match ||coinhive.com^
-        assert nocoin.match_url("https://notcoinhive.com/x.js") is None
+        assert nocoin.explain_url("https://notcoinhive.com/x.js") is None
 
     def test_substring_rule(self, nocoin):
-        assert nocoin.match_url("https://mirror.example/static/coinhive.min.js") is not None
+        assert nocoin.explain_url("https://mirror.example/static/coinhive.min.js") is not None
 
     def test_cpmstar_overbroad_rule(self, nocoin):
-        rule = nocoin.match_url("https://ssl.cpmstar.com/cached/js/cpmstar.js")
-        assert rule is not None
-        assert rule.label == "cpmstar"
+        match = nocoin.explain_url("https://ssl.cpmstar.com/cached/js/cpmstar.js")
+        assert match is not None
+        assert match.rule.label == "cpmstar"
 
     def test_clean_url_unmatched(self, nocoin):
-        assert nocoin.match_url("https://example.com/js/app.js") is None
+        assert nocoin.explain_url("https://example.com/js/app.js") is None
 
     def test_self_hosted_miner_unmatched(self, nocoin):
         """The false-negative mechanism: first-party loader URLs are clean."""
-        assert nocoin.match_url("https://www.somesite.org/assets/app-support.js") is None
+        assert nocoin.explain_url("https://www.somesite.org/assets/app-support.js") is None
 
     def test_regex_rule_matches(self, nocoin):
-        assert nocoin.match_url("https://cdn.x.com/cryptonight.wasm") is not None
+        assert nocoin.explain_url("https://cdn.x.com/cryptonight.wasm") is not None
 
     def test_exception_rules_suppress(self):
         filter_list = FilterList.from_lines(["||ads.com^", "@@||ads.com/safe.js"])
-        assert filter_list.match_url("https://ads.com/track.js") is not None
-        assert filter_list.match_url("https://ads.com/safe.js") is None
+        assert filter_list.explain_url("https://ads.com/track.js") is not None
+        assert filter_list.explain_url("https://ads.com/safe.js") is None
 
     def test_wildcard_pattern(self):
         filter_list = FilterList.from_lines(["wp-monero-miner*.js"])
-        assert filter_list.match_url("https://x.com/wp-monero-miner-v2.js") is not None
-        assert filter_list.match_url("https://x.com/wp-monero-thing.css") is None
+        assert filter_list.explain_url("https://x.com/wp-monero-miner-v2.js") is not None
+        assert filter_list.explain_url("https://x.com/wp-monero-thing.css") is None
 
 
 class TestTextMatching:
     def test_inline_script_with_listed_host(self):
         nocoin = default_nocoin_list()
         text = "var s=document.createElement('script');s.src='https://coinhive.com/lib/x';"
-        assert nocoin.match_text(text) is not None
+        assert nocoin.explain_text(text) is not None
 
     def test_clean_inline(self):
         nocoin = default_nocoin_list()
-        assert nocoin.match_text("function add(a, b) { return a + b; }") is None
+        assert nocoin.explain_text("function add(a, b) { return a + b; }") is None
 
     def test_empty_text(self):
-        assert default_nocoin_list().match_text("") is None
+        assert default_nocoin_list().explain_text("") is None
 
 
 class TestScriptsMatching:
@@ -168,14 +171,13 @@ class TestTextCaseHandling:
         # lowercase the subject (once), not miss mixed-case inline text
         nocoin = default_nocoin_list()
         text = "var s = 'https://CoinHive.COM/lib/x.js';"
-        rule = nocoin.match_text(text)
-        assert rule is not None and rule.label == "coinhive"
         match = nocoin.explain_text(text)
+        assert match is not None and match.rule.label == "coinhive"
         assert match.matched.lower() == "coinhive.com"
         assert match.where == "text"
 
     def test_text_lowered_exactly_once_per_scan(self):
-        from repro.core import fastpath
+        from tests.nocoin_oracle import OracleFilterList
 
         class CountingStr(str):
             def lower(self):
@@ -183,8 +185,8 @@ class TestTextCaseHandling:
                 return str.lower(self)
 
         nocoin = default_nocoin_list()
-        for mode in (True, False):  # automaton and rule-by-rule reference
+        # the automaton and the rule-by-rule oracle
+        for match_text in (nocoin.explain_text, OracleFilterList(nocoin).match_text):
             lower_calls = []
-            with fastpath.configure(mode):
-                nocoin.match_text(CountingStr("no miners in THIS inline block"))
-            assert sum(lower_calls) == 1, mode
+            match_text(CountingStr("no miners in THIS inline block"))
+            assert sum(lower_calls) == 1, match_text

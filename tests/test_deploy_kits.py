@@ -33,12 +33,12 @@ class TestCoinhiveKit:
     def test_official_tags_are_nocoin_visible(self, kit):
         tags = kit.official_tags("TOKEN123")
         nocoin = default_nocoin_list()
-        assert nocoin.match_url(tags[0].src) is not None
+        assert nocoin.explain_url(tags[0].src) is not None
 
     def test_self_hosted_tags_are_nocoin_invisible(self, kit):
         tags = kit.self_hosted_tags("TOKEN123", "www.innocent.com")
         nocoin = default_nocoin_list()
-        assert nocoin.match_url(tags[0].src) is None
+        assert nocoin.explain_url(tags[0].src) is None
         # …but the wasm payload is registered and identical-family
         wasm = kit.web.lookup("https://www.innocent.com/assets/runtime.wasm").body()
         assert wasm[:4] == b"\x00asm"

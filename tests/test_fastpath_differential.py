@@ -1,27 +1,29 @@
-"""Differential battery: fastpath vs reference must be byte-identical.
+"""Differential battery: the production detectors against their oracles.
 
-The optimized paths in :mod:`repro.core.fastpath` (combined filter-list
-automaton, wasm memo cache, single-pass script scanner) exist only under
-the contract that they change *nothing observable*. This suite enforces
-the contract three ways:
+Detection runs on the batched paths in :mod:`repro.core.fastpath`
+(combined filter-list automaton, wasm memo cache) and the single-pass
+script scanner. They must answer exactly what the simple reference
+detectors answer — the rule-by-rule loops in ``tests/nocoin_oracle.py``,
+the DOM-building :func:`~repro.web.html.extract_scripts`, and a cold
+decode per wasm lookup. This suite checks that three ways:
 
 1. Hypothesis-generated filter rules (plain, ``||`` anchored, ``/regex/``,
    ``@@`` exceptions, ``$options``) crossed with generated URLs and inline
-   text: the automaton and the rule-by-rule reference loops must return
-   identical :class:`~repro.core.nocoin.FilterMatch` tuples — same rule
-   identity, same ``where``, same matched span.
+   text: the automaton and the oracle must return identical
+   :class:`~repro.core.nocoin.FilterMatch` tuples — same rule identity,
+   same ``where``, same matched span.
 2. Generated/adversarial HTML: :func:`~repro.web.html.scan_scripts` must
    equal :func:`~repro.web.html.extract_scripts` exactly.
-3. Same-seed campaigns run with fastpath on and off must produce
-   byte-identical ``verdicts.jsonl`` payloads and identical metric
-   registries (counters *and* tick-clock histograms).
+3. A same-seed campaign detected through the oracle list with a
+   one-entry wasm cache must produce byte-identical ``verdicts.jsonl``
+   payloads and identical metric registries (counters *and* tick-clock
+   histograms) to the production defaults.
 """
 
 from __future__ import annotations
 
 import re
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,12 +33,14 @@ from repro.core import fastpath
 from repro.core.detector import PageDetector
 from repro.core.fastpath import AhoCorasick, CompiledFilterSet
 from repro.core.nocoin import FilterList, default_nocoin_list, parse_rule
+from repro.core.signatures import build_reference_database
 from repro.internet.population import build_population
 from repro.internet.streaming import StreamingPopulation
 from repro.obs.clock import TickClock, use_clock
 from repro.obs.evidence import verdicts_to_jsonl
 from repro.obs.profile import make_obs
 from repro.web.html import extract_scripts, scan_scripts
+from tests.nocoin_oracle import OracleFilterList
 
 # ---------------------------------------------------------------------------
 # rule / subject strategies — deliberately tiny alphabets so patterns and
@@ -102,25 +106,29 @@ _urls = st.builds(
 
 # mixed-case plus the unicode case-folding troublemakers (Kelvin sign,
 # long s, dotted İ, final sigma) that distinguish str.lower() containment
-# from re.IGNORECASE matching — the fast path must replicate the
-# reference's exact semantics for both
+# from re.IGNORECASE matching — the automaton must replicate the
+# oracle's exact semantics for both
 _texts = st.text(alphabet="aAbBcCoO .-/*^<>ſKİςΣ", max_size=40)
 
 
 def _assert_url_equivalent(filter_list: FilterList, url: str) -> None:
-    with fastpath.configure(False):
-        reference = (filter_list.match_url(url), filter_list.explain_url(url))
-    with fastpath.configure(True):
-        fast = (filter_list.match_url(url), filter_list.explain_url(url))
+    oracle = OracleFilterList(filter_list)
+    reference = (oracle.match_url(url), oracle.explain_url(url))
+    match = filter_list.explain_url(url)
+    fast = (match.rule if match is not None else None, match)
     assert fast == reference, (url, fast, reference)
 
 
 def _assert_text_equivalent(filter_list: FilterList, text: str) -> None:
-    with fastpath.configure(False):
-        reference = (filter_list.match_text(text), filter_list.explain_text(text))
-    with fastpath.configure(True):
-        fast = (filter_list.match_text(text), filter_list.explain_text(text))
+    oracle = OracleFilterList(filter_list)
+    reference = (oracle.match_text(text), oracle.explain_text(text))
+    match = filter_list.explain_text(text)
+    fast = (match.rule if match is not None else None, match)
     assert fast == reference, (text, fast, reference)
+
+
+def _oracle_detector() -> PageDetector:
+    return PageDetector(nocoin=OracleFilterList(default_nocoin_list()))
 
 
 class TestFilterDifferential:
@@ -142,16 +150,12 @@ class TestFilterDifferential:
         ),
     )
     def test_generated_script_batches(self, filter_list, scripts):
-        with fastpath.configure(False):
-            reference = (
-                filter_list.match_scripts(scripts),
-                filter_list.explain_scripts(scripts),
-            )
-        with fastpath.configure(True):
-            fast = (
-                filter_list.match_scripts(scripts),
-                filter_list.explain_scripts(scripts),
-            )
+        oracle = OracleFilterList(filter_list)
+        reference = (oracle.match_scripts(scripts), oracle.explain_scripts(scripts))
+        fast = (
+            filter_list.match_scripts(scripts),
+            filter_list.explain_scripts(scripts),
+        )
         assert fast == reference
 
     @settings(max_examples=100, deadline=None)
@@ -161,7 +165,7 @@ class TestFilterDifferential:
         _assert_text_equivalent(default_nocoin_list(), text)
 
     def test_urls_built_from_rule_patterns_hit(self):
-        # determinstic hot cases: every default rule fired through both paths
+        # deterministic hot cases: every default rule fired through both matchers
         filter_list = default_nocoin_list()
         for rule in filter_list.rules:
             needle = rule.pattern.split("^")[0] if rule.regex is None else "cryptonight.wasm"
@@ -188,11 +192,10 @@ class TestFilterDifferential:
 
     def test_list_order_beats_leftmost_position(self):
         # rule 0 matches late in the URL, rule 1 matches at position 0;
-        # the reference returns rule 0 — the automaton must too, even
+        # the oracle returns rule 0 — the automaton must too, even
         # though the combined regex finds rule 1's match first
         filter_list = FilterList.from_lines(["tail-bit", "http"], source="gen")
-        with fastpath.configure(True):
-            hit = filter_list.match_url("http://x.co/tail-bit")
+        hit = filter_list.explain_url("http://x.co/tail-bit").rule
         assert hit is filter_list.rules[0]
         _assert_url_equivalent(filter_list, "http://x.co/tail-bit")
 
@@ -217,8 +220,7 @@ class TestFilterDifferential:
         filter_list.warm()
         filter_list.add(parse_rule("||late.co^"))
         _assert_url_equivalent(filter_list, "https://late.co/x.js")
-        with fastpath.configure(True):
-            assert filter_list.match_url("https://late.co/x.js") is not None
+        assert filter_list.explain_url("https://late.co/x.js") is not None
 
 
 class TestAhoCorasick:
@@ -271,59 +273,75 @@ class TestScannerDifferential:
     )
     def test_static_detection_identical(self, html):
         detector = PageDetector(collect_evidence=True)
-        with fastpath.configure(False):
-            reference = detector.detect_static("site.example", html)
-        with fastpath.configure(True):
-            fast = detector.detect_static("site.example", html)
+        oracle = _oracle_detector()
+        oracle.collect_evidence = True
+        reference = oracle.detect_static("site.example", html)
+        fast = detector.detect_static("site.example", html)
         assert fast == reference
+        assert fast.evidence == reference.evidence
 
 
 # ---------------------------------------------------------------------------
-# whole campaigns: byte-identical verdicts and metrics across the flag
+# whole campaigns: the oracle list on a cold cache against production
 # ---------------------------------------------------------------------------
 
 
-def _materialized_campaign(enabled: bool):
-    with fastpath.configure(enabled), use_clock(TickClock()):
-        fastpath.reset_shared_cache()
-        population = build_population("alexa", seed=11, scale=0.05)
-        obs = make_obs(prefix="crawl")
-        scans = ZgrabCampaign(population=population, obs=obs).both_scans()
-        chrome = ChromeCampaign(population=population, obs=obs).run()
+def _materialized_campaign(oracle: bool):
+    """Seed-11 alexa zgrab + Chrome campaign; with ``oracle`` every page is
+    matched by the rule-by-rule list and nearly every wasm lookup is a
+    cold recompute (a one-entry cache)."""
+    with use_clock(TickClock()):
+        fastpath.reset_shared_cache(capacity=1 if oracle else fastpath.DEFAULT_CACHE_CAPACITY)
+        try:
+            population = build_population("alexa", seed=11, scale=0.05)
+            obs = make_obs(prefix="crawl")
+            zgrab_kw, chrome_kw = {}, {}
+            if oracle:
+                zgrab_kw["detector"] = _oracle_detector()
+                chrome_kw["detector"] = _oracle_detector()
+                chrome_kw["detector"].classifier.database = build_reference_database()
+            scans = ZgrabCampaign(population=population, obs=obs, **zgrab_kw).both_scans()
+            result = ChromeCampaign(population=population, obs=obs, **chrome_kw).run()
+        finally:
+            fastpath.reset_shared_cache()
         verdicts = [v for scan in scans for v in scan.verdicts]
-        verdicts.extend(chrome.verdicts)
+        verdicts.extend(result.verdicts)
         return verdicts_to_jsonl(verdicts), obs.registry.to_dict()
 
 
-def _streaming_campaign(enabled: bool):
-    with fastpath.configure(enabled), use_clock(TickClock()):
-        fastpath.reset_shared_cache()
-        population = StreamingPopulation(
-            "com", seed=11, size=20_000, sample_per_stratum=100
-        )
-        obs = make_obs(prefix="crawl")
-        campaign = ShardedZgrabCampaign(
-            population=population,
-            config=ParallelConfig(shards=2, workers=1, mode="serial"),
-            obs=obs,
-        )
-        result = campaign.scan(0)
+def _streaming_campaign(capacity: int):
+    with use_clock(TickClock()):
+        fastpath.reset_shared_cache(capacity)
+        try:
+            population = StreamingPopulation(
+                "com", seed=11, size=20_000, sample_per_stratum=100
+            )
+            obs = make_obs(prefix="crawl")
+            campaign = ShardedZgrabCampaign(
+                population=population,
+                config=ParallelConfig(shards=2, workers=1, mode="serial"),
+                obs=obs,
+            )
+            result = campaign.scan(0)
+        finally:
+            fastpath.reset_shared_cache()
         return verdicts_to_jsonl(result.verdicts), obs.registry.to_dict()
 
 
 class TestCampaignByteIdentity:
     def test_same_seed_campaign_verdicts_and_metrics(self):
-        fast_verdicts, fast_metrics = _materialized_campaign(True)
-        ref_verdicts, ref_metrics = _materialized_campaign(False)
+        fast_verdicts, fast_metrics = _materialized_campaign(oracle=False)
+        ref_verdicts, ref_metrics = _materialized_campaign(oracle=True)
         assert fast_verdicts.encode() == ref_verdicts.encode()
         assert fast_metrics == ref_metrics
         assert fast_verdicts.count("\n") > 1  # non-degenerate run
 
     def test_streaming_campaign_verdicts_and_counters(self):
-        fast_verdicts, fast_metrics = _streaming_campaign(True)
-        ref_verdicts, ref_metrics = _streaming_campaign(False)
-        assert fast_verdicts.encode() == ref_verdicts.encode()
-        assert fast_metrics == ref_metrics
+        # no detector injection point here: a cache-capacity differential
+        fast_verdicts, fast_metrics = _streaming_campaign(fastpath.DEFAULT_CACHE_CAPACITY)
+        cold_verdicts, cold_metrics = _streaming_campaign(1)
+        assert fast_verdicts.encode() == cold_verdicts.encode()
+        assert fast_metrics == cold_metrics
 
 
 class TestCompiledFilterSetInternals:

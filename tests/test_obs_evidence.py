@@ -43,6 +43,7 @@ from repro.obs.evidence import (
     render_verdict,
     verdicts_to_jsonl,
 )
+from tests.nocoin_oracle import OracleFilterList
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +79,7 @@ class TestNocoinExplain:
         url = "https://coinhive.com/lib/coinhive.min.js"
         match = filters.explain_url(url)
         assert match is not None
-        assert match.rule is filters.match_url(url)
+        assert match.rule is OracleFilterList(filters).match_url(url)
         assert match.where == "url"
         assert match.subject == url
         assert match.matched and match.matched in url

@@ -7,7 +7,9 @@ import json
 import pytest
 
 from repro.faults.ledger import FaultLedger
+from repro.graph.model import GraphSchemaError, read_graph_jsonl
 from repro.obs.clock import TickClock, use_clock
+from repro.obs.evidence import VerdictSchemaError, read_verdicts_jsonl
 from repro.obs.ledger import (
     COMPLETE_MARKER,
     EXECUTION_PARAMS,
@@ -21,6 +23,8 @@ from repro.obs.ledger import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import make_obs
+from repro.obs.timeseries import TimeSeriesSchemaError, read_timeseries_jsonl
+from repro.obs.trace import TraceSchemaError, read_jsonl
 
 PARAMS = {
     "dataset": "net",
@@ -83,6 +87,13 @@ class TestManifest:
         heavy = dict(PARAMS, shards=8, workers=4, executor="process",
                      fault_profile="heavy", heartbeat=2.0)
         assert RunManifest.build("crawl", heavy, git_describe="g").identity() == identity
+
+    def test_legacy_fastpath_param_keeps_identity(self):
+        # manifests written while detection had a --fastpath switch carry
+        # it in params; they must stay diffable against runs without it
+        legacy = RunManifest.build("crawl", dict(PARAMS, fastpath=True), git_describe="g")
+        current = RunManifest.build("crawl", PARAMS, git_describe="g")
+        assert legacy.identity() == current.identity()
 
     def test_identity_differs_on_workload_params(self):
         base = RunManifest.build("crawl", PARAMS, git_describe="g")
@@ -164,3 +175,26 @@ class TestWriteLoad:
         (run / "manifest.json").write_text(json.dumps(payload))
         with pytest.raises(RunSchemaError):
             load_run(run)
+
+
+@pytest.mark.parametrize(
+    "reader, error, bad_record",
+    [
+        (read_jsonl, TraceSchemaError, '{"span_id": "s1"}'),
+        (read_verdicts_jsonl, VerdictSchemaError, '{"subject": "a.com", "x": 1}'),
+        (read_graph_jsonl, GraphSchemaError, '{"src": "domain:a"}'),
+        (read_timeseries_jsonl, TimeSeriesSchemaError, '{"tick": 0}'),
+    ],
+    ids=["trace", "verdicts", "graph", "timeseries"],
+)
+def test_artifact_readers_name_the_bad_file_line(tmp_path, reader, error, bad_record):
+    path = tmp_path / "artifact.jsonl"
+    # after a blank line, a torn line and a record missing fields both
+    # name file line 3
+    for bad_line in ('{"sub', bad_record):
+        path.write_text('{"schema_version": 1}\n\n' + bad_line + "\n")
+        with pytest.raises(error, match=r"line 3\b"):
+            reader(path)
+    path.write_text('{"schema_version": 0}\n')
+    with pytest.raises(error, match="malformed .*header"):
+        reader(path)

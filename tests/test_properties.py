@@ -138,4 +138,4 @@ class TestFilterListProperties:
         url = f"https://example-{path.replace('/', '')or 'x'}.net/{path}"
         if "coinhive.com" in url:
             return
-        assert filter_list.match_url(url) is None
+        assert filter_list.explain_url(url) is None
