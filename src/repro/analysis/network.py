@@ -115,6 +115,7 @@ class NetworkObservation:
         """Rows of Table 6: median/avg blocks per day, hash rate, XMR."""
         estimator = NetworkEstimator(block_target_seconds=int(self.config.block_target))
         per_day = self.blocks_per_day()
+        difficulties = self._difficulties_by_month()
         rows = []
         for year, month in months:
             days = _days_in_month(year, month)
@@ -122,7 +123,8 @@ class NetworkObservation:
             counts = sorted(per_day.get(k, 0) for k in day_keys)
             median = counts[len(counts) // 2] if counts else 0
             average = sum(counts) / len(counts) if counts else 0.0
-            difficulty = self._median_difficulty_in(year, month)
+            diffs = sorted(difficulties.get((year, month), ()))
+            difficulty = diffs[len(diffs) // 2] if diffs else self.config.initial_difficulty
             pool_rate = estimator.pool_hashrate(average, difficulty)
             xmr = sum(
                 b.reward_atomic for b in self.attributed
@@ -155,19 +157,14 @@ class NetworkObservation:
             self.coinhive_truth_heights
         )
 
-    def _median_difficulty_in(self, year: int, month: int) -> int:
-        diffs = []
+    def _difficulties_by_month(self) -> dict[tuple, list]:
+        """(year, month) → difficulties of the blocks appended that month."""
         chain = self.chain
+        by_month: dict[tuple, list] = {}
         for height in range(1, chain.height + 1):
-            ts = chain.blocks[height].header.timestamp
-            if _month_of(ts) == (year, month):
-                diffs.append(
-                    chain._cumulative_difficulty[height] - chain._cumulative_difficulty[height - 1]
-                )
-        if not diffs:
-            return self.config.initial_difficulty
-        diffs.sort()
-        return diffs[len(diffs) // 2]
+            month = _month_of(chain.blocks[height].header.timestamp)
+            by_month.setdefault(month, []).append(chain.difficulty_at(height))
+        return by_month
 
 
 def _month_of(unix_ts: float) -> tuple:

@@ -90,7 +90,10 @@ class Block:
 
     header: BlockHeader
     transactions: list = field(default_factory=list)
+    #: memoized digests: a block is never mutated once hashed (a new nonce
+    #: builds a new block), so each is computed at most once
     _merkle_cache: Optional[bytes] = field(default=None, repr=False, compare=False)
+    _id_cache: Optional[bytes] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.transactions:
@@ -123,7 +126,9 @@ class Block:
         Distinct from the PoW hash — the chain links blocks by id, while the
         difficulty test applies to the (slow) PoW hash.
         """
-        return hashlib.sha3_256(b"blockid" + self.hashing_blob()).digest()
+        if self._id_cache is None:
+            self._id_cache = hashlib.sha3_256(b"blockid" + self.hashing_blob()).digest()
+        return self._id_cache
 
     def reward(self) -> int:
         return self.coinbase.total_output()

@@ -88,7 +88,6 @@ class Blockchain:
     generated_atomic: int = GENERATED_AT_START
     _timestamps: list = field(default_factory=list)
     _cumulative_difficulty: list = field(default_factory=list)
-    _ids: set = field(default_factory=set)
     _by_prev: dict = field(default_factory=dict)
     _height_by_id: dict = field(default_factory=dict)
     _difficulty_cache: Optional[tuple] = field(default=None, repr=False)
@@ -112,7 +111,6 @@ class Blockchain:
         self.generated_atomic += reward
         self._timestamps.append(header.timestamp)
         self._cumulative_difficulty.append(1)
-        self._ids.add(genesis.block_id())
         self._by_prev[GENESIS_PREV] = genesis
         self._height_by_id[genesis.block_id()] = 0
 
@@ -149,7 +147,7 @@ class Blockchain:
         return self._height_by_id[block.block_id()]
 
     def contains(self, block_id: bytes) -> bool:
-        return block_id in self._ids
+        return block_id in self._height_by_id
 
     # -- write API ------------------------------------------------------------
 
@@ -176,7 +174,6 @@ class Blockchain:
         self.generated_atomic += block.reward()
         self._timestamps.append(block.header.timestamp)
         self._cumulative_difficulty.append(self._cumulative_difficulty[-1] + difficulty)
-        self._ids.add(block.block_id())
         self._by_prev[block.header.prev_id] = block
         self._height_by_id[block.block_id()] = len(self.blocks) - 1
 
@@ -192,16 +189,20 @@ class Blockchain:
 
     # -- statistics ------------------------------------------------------------
 
+    def difficulty_at(self, height: int) -> int:
+        """Difficulty the block at ``height`` was appended under (genesis: 1)."""
+        if not 0 <= height <= self.height:
+            raise IndexError(f"no block at height {height}")
+        cumulative = self._cumulative_difficulty
+        return cumulative[height] - (cumulative[height - 1] if height else 0)
+
     def median_difficulty(self, last: int = 0) -> int:
-        diffs = [
-            self._cumulative_difficulty[i] - self._cumulative_difficulty[i - 1]
-            for i in range(1, len(self._cumulative_difficulty))
-        ]
+        heights = range(1, self.height + 1)
         if last:
-            diffs = diffs[-last:]
-        if not diffs:
+            heights = heights[-last:]
+        if not heights:
             return self.adjuster.initial_difficulty
-        diffs.sort()
+        diffs = sorted(self.difficulty_at(h) for h in heights)
         return diffs[len(diffs) // 2]
 
     def total_rewards_atomic(self, start_height: int = 1, end_height: Optional[int] = None) -> int:

@@ -33,6 +33,10 @@ class Transaction:
     outputs: tuple           # ((amount_atomic, address), ...)
     extra: bytes = b""
     is_coinbase: bool = False
+    #: memoized :meth:`hash`; a frozen transaction never changes after it.
+    #: The serialized bytes are not kept: they would cost more memory than
+    #: the one re-serialization a cache miss pays.
+    _hash: bytes = field(default=b"", init=False, repr=False, compare=False)
 
     def serialize(self) -> bytes:
         out = bytearray()
@@ -57,7 +61,9 @@ class Transaction:
 
     def hash(self) -> bytes:
         """32-byte transaction hash (SHA3-256 of the serialization)."""
-        return hashlib.sha3_256(self.serialize()).digest()
+        if not self._hash:
+            object.__setattr__(self, "_hash", hashlib.sha3_256(self.serialize()).digest())
+        return self._hash
 
     def total_output(self) -> int:
         return sum(amount for amount, _ in self.outputs)

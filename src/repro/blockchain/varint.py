@@ -6,20 +6,22 @@ reach into the WebAssembly package for them.
 
 from __future__ import annotations
 
+#: the one-byte encodings, which every length and small field uses
+_ONE_BYTE = tuple(bytes((value,)) for value in range(0x80))
+
 
 def encode(value: int) -> bytes:
     """Encode a non-negative integer as a Monero varint."""
+    if 0 <= value < 0x80:
+        return _ONE_BYTE[value]
     if value < 0:
         raise ValueError(f"varint cannot encode negative value {value}")
     out = bytearray()
-    while True:
-        byte = value & 0x7F
+    while value >= 0x80:
+        out.append((value & 0x7F) | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    out.append(value)
+    return bytes(out)
 
 
 def decode(data: bytes, offset: int = 0) -> tuple[int, int]:

@@ -86,7 +86,13 @@ class RngStream:
         return self._rng.gauss(mu, sigma)
 
     def randbytes(self, n: int) -> bytes:
-        return bytes(self._rng.getrandbits(8) for _ in range(n))
+        """``n`` bytes, the same bytes and generator state as ``n`` draws of
+        ``getrandbits(8)``: each of those is the top byte of one 32-bit
+        Mersenne Twister word, and ``getrandbits(32 * n)`` lays the same
+        ``n`` words out little-endian."""
+        if n <= 0:
+            return b""
+        return self._rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]
 
     def getrandbits(self, k: int) -> int:
         return self._rng.getrandbits(k)

@@ -174,6 +174,16 @@ class TestBlockchain:
         small_chain.submit(mine_block(small_chain, 1_525_000_120))
         assert isinstance(small_chain.current_difficulty(), int)
 
+    def test_difficulty_at(self, small_chain):
+        difficulty = small_chain.current_difficulty()
+        small_chain.submit(mine_block(small_chain, 1_525_000_120))
+        assert small_chain.difficulty_at(0) == 1
+        assert small_chain.difficulty_at(1) == difficulty
+        assert small_chain.median_difficulty() == difficulty
+        for height in (-1, 2):
+            with pytest.raises(IndexError):
+                small_chain.difficulty_at(height)
+
 
 class TestMempool:
     def test_add_and_take(self):
