@@ -9,20 +9,21 @@ of ``http://www.<domain>`` with Wasm-signature classification, NoCoin
 re-matching on post-execution HTML, and RuleSpace categorization.
 
 Both campaigns are written as *merge-friendly* pipelines: the per-site work
-lives in ``scan_sites``/``run_sites``, which return additive partial
-results, and the final report is assembled by a separate ``finalize_*``
-step. The sequential entry points (``scan``/``run``) are just
-"one partial covering every site"; the sharded executor in
-:mod:`repro.analysis.parallel` runs the same per-site code on site subsets
-and merges the partials — by construction the merged output is identical
-to the sequential one.
+lives in ``scan_sites_indexed``/``run_sites``, which share one journaled
+site loop (visit → outcome → apply) and return additive partial results,
+and the final report is assembled by a separate ``finalize_*`` step.
+``scan``/``run`` are just "one partial covering every site"; the sharded
+executor in :mod:`repro.analysis.parallel`, which every CLI crawl runs
+through, runs the same per-site code on site subsets and merges the
+partials — by construction the merged output is identical to the
+single-partial one.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.core.detector import CrossTabulation, DetectionReport, PageDetector, cross_tabulate
 from repro.core.signatures import SignatureDatabase, build_reference_database, wasm_signature
@@ -64,6 +65,70 @@ def _replay_stage_spans(obs: Obs, stage_spans: tuple) -> None:
         with obs.span(name) as span:
             for key, value in tags:
                 span.set_tag(key, value)
+
+
+def _journaled_site_loop(
+    obs: Obs,
+    indexed_sites: Iterable[tuple[int, SiteSpec]],
+    partial,
+    journal: Optional[CheckpointJournal],
+    progress,
+    *,
+    visit: Callable[[SiteSpec], object],
+    apply: Callable[[object, int, SiteSpec, object], None],
+    failed: Callable[[object], bool],
+    site_tags: Callable[[object], tuple],
+    skip: Optional[Callable[[SiteSpec], bool]] = None,
+):
+    """The per-site loop both campaigns share: visit → outcome → apply.
+
+    With a ``journal``, sites already recorded are replayed instead of
+    re-visited, and every fresh site is recorded as it completes — a shard
+    killed mid-run resumes from the journal and still merges to the exact
+    uninterrupted result (fault decisions are keyed on domains, never on
+    execution position). Resumed sites replay their recorded stage spans
+    so the trace keeps the fresh run's shape. ``visit`` produces a site's
+    outcome, ``apply`` folds it into ``partial``, ``failed`` and
+    ``site_tags`` feed the heartbeat and the site span, and sites ``skip``
+    accepts only advance the heartbeat.
+    """
+    record_spans = journal is not None and obs.enabled
+    done = journal.load() if journal is not None else {}
+    for index, site in indexed_sites:
+        if skip is not None and skip(site):
+            if progress is not None:
+                progress.advance(1)
+            continue
+        with obs.span("site", domain=site.domain) as span:
+            outcome = done.get(index)
+            if outcome is not None:
+                span.set_tag("resumed", 1)
+                partial.fault_ledger.checkpoint_resumed += 1
+                if obs.enabled:
+                    _replay_stage_spans(obs, getattr(outcome, "stage_spans", ()))
+            else:
+                mark = len(obs.tracer.spans) if record_spans else 0
+                outcome = visit(site)
+                if journal is not None:
+                    if record_spans:
+                        outcome = replace(
+                            outcome,
+                            stage_spans=_captured_stage_spans(obs.tracer.spans, mark),
+                        )
+                    journal.record(index, outcome)
+                    partial.fault_ledger.checkpoint_recorded += 1
+            for key, value in site_tags(outcome):
+                span.set_tag(key, value)
+            apply(partial, index, site, outcome)
+        if progress is not None:
+            progress.advance(
+                1,
+                failed=1 if failed(outcome) else 0,
+                faults=outcome.ledger.total_injected,
+                breakers_opened=outcome.ledger.breaker_opened,
+                breakers_closed=outcome.ledger.breaker_closed,
+            )
+    return partial
 
 
 def _includers_for(population, site) -> tuple:
@@ -245,57 +310,28 @@ class ZgrabCampaign:
         """Scan ``(population index, site)`` pairs, optionally journaled.
 
         With a ``journal``, sites already recorded are replayed instead of
-        re-fetched, and every fresh site is recorded as it completes — a
-        shard killed mid-run resumes from the journal and still merges to
-        the exact uninterrupted result (fault decisions are keyed on
-        domains, never on execution position). Resumed sites replay their
-        recorded stage spans so the trace keeps the fresh run's shape.
+        re-fetched (see :func:`_journaled_site_loop`).
         """
         fetcher = ZgrabFetcher(
             self.population.web, resilience=self.resilience, obs=self.obs
         )
         if self.obs.enabled:
             self.detector.collect_evidence = True
-        record_spans = journal is not None and self.obs.enabled
-        partial = ZgrabScanPartial()
-        done = journal.load() if journal is not None else {}
-        for index, site in indexed_sites:
-            if scan_index == 1 and not site.present_scan2:
-                if progress is not None:
-                    progress.advance(1)  # churned between the scans
-                continue
-            with self.obs.span("site", domain=site.domain) as span:
-                outcome = done.get(index)
-                if outcome is not None:
-                    span.set_tag("resumed", 1)
-                    partial.fault_ledger.checkpoint_resumed += 1
-                    if self.obs.enabled:
-                        _replay_stage_spans(self.obs, getattr(outcome, "stage_spans", ()))
-                else:
-                    mark = len(self.obs.tracer.spans) if record_spans else 0
-                    outcome = self._scan_site(fetcher, site)
-                    if journal is not None:
-                        if record_spans:
-                            outcome = replace(
-                                outcome,
-                                stage_spans=_captured_stage_spans(
-                                    self.obs.tracer.spans, mark
-                                ),
-                            )
-                        journal.record(index, outcome)
-                        partial.fault_ledger.checkpoint_recorded += 1
-                if outcome.failed:
-                    span.set_tag("failed", 1)
-                self._apply_outcome(partial, index, site, outcome, scan_index)
-            if progress is not None:
-                progress.advance(
-                    1,
-                    failed=1 if outcome.failed else 0,
-                    faults=outcome.ledger.total_injected,
-                    breakers_opened=outcome.ledger.breaker_opened,
-                    breakers_closed=outcome.ledger.breaker_closed,
-                )
-        return partial
+        return _journaled_site_loop(
+            self.obs,
+            indexed_sites,
+            ZgrabScanPartial(),
+            journal,
+            progress,
+            visit=lambda site: self._scan_site(fetcher, site),
+            apply=lambda partial, index, site, outcome: self._apply_outcome(
+                partial, index, site, outcome, scan_index
+            ),
+            failed=lambda outcome: outcome.failed,
+            site_tags=lambda outcome: (("failed", 1),) if outcome.failed else (),
+            # the second scan skips sites churned out between the scan dates
+            skip=(lambda site: not site.present_scan2) if scan_index == 1 else None,
+        )
 
     def _scan_site(self, fetcher: ZgrabFetcher, site: SiteSpec) -> ZgrabSiteOutcome:
         ledger = FaultLedger()
@@ -498,7 +534,7 @@ class ChromeCampaign:
         by URL (not visit order), so the outcome per site is the same no
         matter how sites are grouped into subsets. With a ``journal``,
         already-recorded sites are replayed instead of re-visited (see
-        :meth:`ZgrabCampaign.scan_sites_indexed`).
+        :func:`_journaled_site_loop`).
         """
         browser = HeadlessBrowser(
             self.population.web,
@@ -508,42 +544,21 @@ class ChromeCampaign:
         )
         if self.obs.enabled:
             self.detector.collect_evidence = True
-        record_spans = journal is not None and self.obs.enabled
-        partial = ChromeRunPartial()
-        done = journal.load() if journal is not None else {}
-        for index, site in indexed_sites:
-            with self.obs.span("site", domain=site.domain) as span:
-                outcome = done.get(index)
-                if outcome is not None:
-                    span.set_tag("resumed", 1)
-                    partial.fault_ledger.checkpoint_resumed += 1
-                    if self.obs.enabled:
-                        _replay_stage_spans(self.obs, getattr(outcome, "stage_spans", ()))
-                else:
-                    mark = len(self.obs.tracer.spans) if record_spans else 0
-                    outcome = self._visit_site(browser, site)
-                    if journal is not None:
-                        if record_spans:
-                            outcome = replace(
-                                outcome,
-                                stage_spans=_captured_stage_spans(
-                                    self.obs.tracer.spans, mark
-                                ),
-                            )
-                        journal.record(index, outcome)
-                        partial.fault_ledger.checkpoint_recorded += 1
-                if outcome.report.status != "ok":
-                    span.set_tag("status", outcome.report.status)
-                self._apply_outcome(partial, index, site, outcome)
-            if progress is not None:
-                progress.advance(
-                    1,
-                    failed=1 if outcome.report.status == "error" else 0,
-                    faults=outcome.ledger.total_injected,
-                    breakers_opened=outcome.ledger.breaker_opened,
-                    breakers_closed=outcome.ledger.breaker_closed,
-                )
-        return partial
+        return _journaled_site_loop(
+            self.obs,
+            indexed_sites,
+            ChromeRunPartial(),
+            journal,
+            progress,
+            visit=lambda site: self._visit_site(browser, site),
+            apply=self._apply_outcome,
+            failed=lambda outcome: outcome.report.status == "error",
+            site_tags=lambda outcome: (
+                (("status", outcome.report.status),)
+                if outcome.report.status != "ok"
+                else ()
+            ),
+        )
 
     def _visit_site(self, browser: HeadlessBrowser, site: SiteSpec) -> ChromeSiteOutcome:
         ledger = FaultLedger()

@@ -24,17 +24,22 @@ Execution modes:
   population is inherited copy-on-write, giving each worker an isolated
   view with no pickling of the web registry.
 
+Every crawl pass runs through this executor — one shard on one worker by
+default. A pass is a small job description (zgrab scan or Chrome crawl)
+handed to one shard runner; the job names its spans, journal, and
+fingerprint, and drives the campaign's shared per-site loop.
+
 Every shard is wrapped in retry-with-exponential-backoff (the shared
-:class:`repro.faults.resilience.RetryPolicy` — re-exported here for
-backward compatibility); a shard that exhausts its retries is recorded in
-the metrics (``error`` set) and skipped instead of killing the whole
-campaign. With ``checkpoint_dir`` set, every shard journals per-site
-outcomes so a killed run resumes without repeating (or re-randomizing)
-completed work.
+:class:`repro.faults.resilience.RetryPolicy`); a shard that exhausts its
+retries is recorded in the metrics (``error`` set) and skipped instead of
+killing the whole campaign. With ``checkpoint_dir`` set, every shard
+journals per-site outcomes so a killed run resumes without repeating (or
+re-randomizing) completed work.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import multiprocessing
 import threading
@@ -68,11 +73,9 @@ __all__ = [
     "EXECUTOR_MODES",
     "ParallelConfig",
     "PopulationRecipe",
-    "RetryPolicy",
     "ShardedChromeCampaign",
     "ShardedZgrabCampaign",
     "partition_indices",
-    "run_with_retry",
     "stable_shard",
 ]
 
@@ -104,10 +107,6 @@ def partition_indices(sites: list[SiteSpec], num_shards: int) -> list[list[int]]
 
 # ---------------------------------------------------------------------------
 # configuration
-#
-# (Shard retry used to be implemented here; it now lives in
-# repro.faults.resilience, shared with the zgrab fetcher and the pool
-# observer. RetryPolicy/run_with_retry stay importable from this module.)
 
 
 @dataclass(frozen=True)
@@ -242,72 +241,136 @@ def _shard_checkpoint_identity(population, indices):
     return [(i, population.sites[i].domain) for i in indices]
 
 
-def _zgrab_shard_work(
+@dataclass(frozen=True)
+class _ZgrabShardJob:
+    """What a zgrab pass's shards need beyond the shared shard runner.
+
+    Frozen and picklable: in process mode it crosses the fork boundary as
+    a submit argument.
+    """
+
+    scan_index: int = 0
+    resilience: Optional[ResiliencePolicy] = None
+
+    @property
+    def kind(self) -> str:
+        return f"zgrab{self.scan_index}"
+
+    def span_prefix(self, dataset: str, shard_id: int) -> str:
+        return f"{dataset}-z{self.scan_index}s{shard_id}"
+
+    def fingerprint_parts(self) -> tuple:
+        return (self.resilience,)
+
+    def run_sites(self, population, indexed_sites, obs, journal, progress) -> ZgrabScanPartial:
+        campaign = ZgrabCampaign(population=population, resilience=self.resilience, obs=obs)
+        return campaign.scan_sites_indexed(
+            indexed_sites, self.scan_index, journal=journal, progress=progress
+        )
+
+    @staticmethod
+    def tallies(partial: ZgrabScanPartial, sites: int) -> tuple[int, int, int]:
+        """``(domains probed, fetch failures, detector hits)`` of a shard."""
+        return partial.domains_probed, partial.fetch_failures, partial.nocoin_domains
+
+
+@dataclass(frozen=True)
+class _ChromeShardJob:
+    """What a Chrome crawl's shards need beyond the shared shard runner."""
+
+    browser_config: BrowserConfig = field(default_factory=BrowserConfig)
+    signature_db_path: Optional[str] = None
+
+    kind = "chrome"
+
+    def span_prefix(self, dataset: str, shard_id: int) -> str:
+        return f"{dataset}-cs{shard_id}"
+
+    def fingerprint_parts(self) -> tuple:
+        # a different signature catalogue changes verdicts; stale journals
+        # from another db must not replay into this run
+        db = (self.signature_db_path,) if self.signature_db_path else ()
+        return (self.browser_config, *db)
+
+    def run_sites(self, population, indexed_sites, obs, journal, progress) -> ChromeRunPartial:
+        campaign = ChromeCampaign(
+            population=population,
+            detector=_worker_chrome_detector(self.signature_db_path),
+            browser_config=self.browser_config,
+            rulespace=RuleSpaceEngine(),
+            obs=obs,
+        )
+        return campaign.run_sites(indexed_sites, journal=journal, progress=progress)
+
+    @staticmethod
+    def tallies(partial: ChromeRunPartial, sites: int) -> tuple[int, int, int]:
+        failures = sum(1 for _, report in partial.reports if report.status == "error")
+        return sites, failures, partial.miner_wasm_sites
+
+
+def _shard_work(
+    job,
     population: WebPopulation,
     shard_id: int,
     indices: list[int],
-    scan_index: int,
-    resilience: Optional[ResiliencePolicy] = None,
     checkpoint_dir: Optional[str] = None,
     observe: bool = False,
     progress=None,
-) -> tuple[ZgrabScanPartial, ShardMetrics]:
+) -> tuple[object, ShardMetrics]:
+    """Run one shard of a campaign pass: its partial plus its metrics."""
+    dataset = population.spec.name
     # each shard traces into its own context; the id prefix is derived from
-    # the dataset, scan, and shard, so the merged trace is identical across
+    # the dataset, pass, and shard, so the merged trace is identical across
     # executor modes and span ids stay unique when run_reproduction merges
     # several datasets' shard traces into one run directory
-    obs = (
-        make_obs(prefix=f"{population.spec.name}-z{scan_index}s{shard_id}")
-        if observe
-        else NULL_OBS
-    )
-    campaign = ZgrabCampaign(population=population, resilience=resilience, obs=obs)
+    obs = make_obs(prefix=job.span_prefix(dataset, shard_id)) if observe else NULL_OBS
     journal = None
     if checkpoint_dir is not None:
-        # the journal name carries the dataset — run_reproduction loops
-        # four datasets over one checkpoint_dir, and an unqualified name
-        # would replay one dataset's outcomes into another's shards
-        dataset = population.spec.name
-        fingerprint_parts = [
+        parts = [
             dataset,
-            f"zgrab{scan_index}",
+            job.kind,
             shard_id,
             _shard_checkpoint_identity(population, indices),
             population.web.fault_plan,
-            resilience,
+            *job.fingerprint_parts(),
         ]
         if observe:
             # observed runs journal outcomes *with* evidence chains; a
             # journal recorded unobserved has none to replay, so it must
             # be discarded rather than yield evidence-free verdicts
-            fingerprint_parts.append("evidence")
+            parts.append("evidence")
+        # the journal name carries the dataset — run_reproduction loops
+        # four datasets over one checkpoint_dir, and an unqualified name
+        # would replay one dataset's outcomes into another's shards
         journal = shard_journal(
             checkpoint_dir,
-            f"{dataset}-zgrab{scan_index}",
+            f"{dataset}-{job.kind}",
             shard_id,
-            fingerprint=_campaign_fingerprint(*fingerprint_parts),
+            fingerprint=_campaign_fingerprint(*parts),
         )
     clock = get_clock()
     started = clock.now()
     try:
-        with obs.span("shard", shard=shard_id, kind=f"zgrab{scan_index}"):
-            partial = campaign.scan_sites_indexed(
+        with obs.span("shard", shard=shard_id, kind=job.kind):
+            partial = job.run_sites(
+                population,
                 ((i, population.sites[i]) for i in indices),
-                scan_index,
-                journal=journal,
-                progress=progress,
+                obs,
+                journal,
+                progress,
             )
     finally:
         if journal is not None:
             journal.close()
     wall = clock.now() - started
+    probed, failures, hits = job.tallies(partial, len(indices))
     metrics = ShardMetrics(
         shard_id=shard_id,
         sites=len(indices),
         wall_seconds=wall,
-        domains_probed=partial.domains_probed,
-        fetch_failures=partial.fetch_failures,
-        detector_hits=partial.nocoin_domains,
+        domains_probed=probed,
+        fetch_failures=failures,
+        detector_hits=hits,
         ledger=partial.fault_ledger,
         registry=obs.registry if observe else None,
         spans=obs.tracer.spans if observe else None,
@@ -315,158 +378,34 @@ def _zgrab_shard_work(
     return partial, metrics
 
 
-def _chrome_shard_work(
-    population: WebPopulation,
+def _forked_population() -> WebPopulation:
+    """A forked worker's copy-on-write view of the parent's population."""
+    return _FORK_STATE["population"]
+
+
+def _shard_entry(
+    job,
+    population_source: Callable[[], WebPopulation],
     shard_id: int,
     indices: list[int],
-    browser_config: BrowserConfig,
-    checkpoint_dir: Optional[str] = None,
-    observe: bool = False,
+    retry: RetryPolicy,
+    checkpoint_dir: Optional[str],
+    observe: bool,
     progress=None,
-    signature_db_path: Optional[str] = None,
-) -> tuple[ChromeRunPartial, ShardMetrics]:
-    obs = make_obs(prefix=f"{population.spec.name}-cs{shard_id}") if observe else NULL_OBS
-    campaign = ChromeCampaign(
-        population=population,
-        detector=_worker_chrome_detector(signature_db_path),
-        browser_config=browser_config,
-        rulespace=RuleSpaceEngine(),
-        obs=obs,
-    )
-    journal = None
-    if checkpoint_dir is not None:
-        dataset = population.spec.name
-        fingerprint_parts = [
-            dataset,
-            "chrome",
-            shard_id,
-            _shard_checkpoint_identity(population, indices),
-            population.web.fault_plan,
-            browser_config,
-        ]
-        if signature_db_path:
-            # a different signature catalogue changes verdicts; stale
-            # journals from another db must not replay into this run
-            fingerprint_parts.append(signature_db_path)
-        if observe:
-            # same contract as the zgrab journals: only journals whose
-            # outcomes carry evidence may replay into an observed run
-            fingerprint_parts.append("evidence")
-        journal = shard_journal(
-            checkpoint_dir,
-            f"{dataset}-chrome",
-            shard_id,
-            fingerprint=_campaign_fingerprint(*fingerprint_parts),
+) -> tuple[object, ShardMetrics]:
+    """One shard under retry, in any execution mode.
+
+    ``population_source`` runs inside the worker: the campaign's own
+    population (or a per-thread rebuild) in serial and thread modes,
+    :func:`_forked_population` in a forked process.
+    """
+
+    def attempt():
+        return _shard_work(
+            job, population_source(), shard_id, indices, checkpoint_dir, observe, progress
         )
-    clock = get_clock()
-    started = clock.now()
-    try:
-        with obs.span("shard", shard=shard_id, kind="chrome"):
-            partial = campaign.run_sites(
-                ((i, population.sites[i]) for i in indices),
-                journal=journal,
-                progress=progress,
-            )
-    finally:
-        if journal is not None:
-            journal.close()
-    wall = clock.now() - started
-    metrics = ShardMetrics(
-        shard_id=shard_id,
-        sites=len(indices),
-        wall_seconds=wall,
-        domains_probed=len(indices),
-        fetch_failures=sum(1 for _, report in partial.reports if report.status == "error"),
-        detector_hits=partial.miner_wasm_sites,
-        ledger=partial.fault_ledger,
-        registry=obs.registry if observe else None,
-        spans=obs.tracer.spans if observe else None,
-    )
-    return partial, metrics
 
-
-def _call_zgrab_work(
-    population: WebPopulation,
-    shard_id: int,
-    indices: list[int],
-    scan_index: int,
-    resilience: Optional[ResiliencePolicy],
-    checkpoint_dir: Optional[str],
-    observe: bool = False,
-    progress=None,
-) -> tuple[ZgrabScanPartial, ShardMetrics]:
-    # keep the legacy positional call when the chaos/checkpoint/obs planes
-    # are off — callers (and tests) may substitute a 4-arg _zgrab_shard_work
-    if resilience is None and checkpoint_dir is None and not observe and progress is None:
-        return _zgrab_shard_work(population, shard_id, indices, scan_index)
-    return _zgrab_shard_work(
-        population, shard_id, indices, scan_index, resilience, checkpoint_dir, observe,
-        progress,
-    )
-
-
-def _call_chrome_work(
-    population: WebPopulation,
-    shard_id: int,
-    indices: list[int],
-    browser_config: BrowserConfig,
-    checkpoint_dir: Optional[str],
-    observe: bool = False,
-    progress=None,
-    signature_db_path: Optional[str] = None,
-) -> tuple[ChromeRunPartial, ShardMetrics]:
-    if (
-        checkpoint_dir is None
-        and not observe
-        and progress is None
-        and signature_db_path is None
-    ):
-        return _chrome_shard_work(population, shard_id, indices, browser_config)
-    return _chrome_shard_work(
-        population, shard_id, indices, browser_config, checkpoint_dir, observe, progress,
-        signature_db_path,
-    )
-
-
-def _zgrab_process_entry(
-    shard_id: int,
-    indices: list[int],
-    scan_index: int,
-    retry: RetryPolicy,
-    resilience: Optional[ResiliencePolicy] = None,
-    checkpoint_dir: Optional[str] = None,
-    observe: bool = False,
-) -> tuple[ZgrabScanPartial, ShardMetrics]:
-    population = _FORK_STATE["population"]
-    result, retries = run_with_retry(
-        lambda: _call_zgrab_work(
-            population, shard_id, indices, scan_index, resilience, checkpoint_dir, observe
-        ),
-        retry,
-        key=(f"zgrab{scan_index}", f"shard{shard_id}"),
-    )
-    result[1].retries = retries
-    return result
-
-
-def _chrome_process_entry(
-    shard_id: int,
-    indices: list[int],
-    browser_config: BrowserConfig,
-    retry: RetryPolicy,
-    checkpoint_dir: Optional[str] = None,
-    observe: bool = False,
-    signature_db_path: Optional[str] = None,
-) -> tuple[ChromeRunPartial, ShardMetrics]:
-    population = _FORK_STATE["population"]
-    result, retries = run_with_retry(
-        lambda: _call_chrome_work(
-            population, shard_id, indices, browser_config, checkpoint_dir, observe,
-            None, signature_db_path,
-        ),
-        retry,
-        key=("chrome", f"shard{shard_id}"),
-    )
+    result, retries = run_with_retry(attempt, retry, key=(job.kind, f"shard{shard_id}"))
     result[1].retries = retries
     return result
 
@@ -500,11 +439,23 @@ def _collect_shards(
     whole shard at a time as results come back.
     """
     partials: dict[int, object] = {}
-    failures: list[ShardMetrics] = []
     metrics_by_shard: dict[int, ShardMetrics] = {}
 
-    def record(shard_id: int, outcome) -> None:
-        partial, shard_metrics = outcome
+    def settle(shard_id: int, result: Callable[[], tuple]) -> None:
+        # a shard that raised (retries exhausted) is recorded and skipped,
+        # unless the campaign fails fast
+        try:
+            partial, shard_metrics = result()
+        except Exception as exc:
+            if config.fail_fast:
+                raise
+            metrics_by_shard[shard_id] = ShardMetrics(
+                shard_id=shard_id,
+                sites=shard_sizes[shard_id],
+                retries=config.retry.max_attempts - 1,
+                error=str(exc) or type(exc).__name__,
+            )
+            return
         partials[shard_id] = partial
         metrics_by_shard[shard_id] = shard_metrics
         if progress is not None:
@@ -519,46 +470,20 @@ def _collect_shards(
 
     if pool is None:  # serial
         for shard_id in shard_sizes:
-            try:
-                record(shard_id, submit(None, shard_id))
-            except Exception as exc:
-                if config.fail_fast:
-                    raise
-                failures.append(
-                    ShardMetrics(
-                        shard_id=shard_id,
-                        sites=shard_sizes[shard_id],
-                        retries=config.retry.max_attempts - 1,
-                        error=str(exc) or type(exc).__name__,
-                    )
-                )
+            settle(shard_id, functools.partial(submit, None, shard_id))
     else:
         futures = {submit(pool, shard_id): shard_id for shard_id in shard_sizes}
         pending = set(futures)
         while pending:
             done, pending = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
-                shard_id = futures[future]
                 try:
-                    record(shard_id, future.result())
-                except Exception as exc:
-                    if config.fail_fast:
-                        for other in pending:
-                            other.cancel()
-                        raise
-                    failures.append(
-                        ShardMetrics(
-                            shard_id=shard_id,
-                            sites=shard_sizes[shard_id],
-                            retries=config.retry.max_attempts - 1,
-                            error=str(exc) or type(exc).__name__,
-                        )
-                    )
-
-    all_metrics = sorted(
-        list(metrics_by_shard.values()) + failures, key=lambda m: m.shard_id
-    )
-    return partials, all_metrics
+                    settle(futures[future], future.result)
+                except Exception:
+                    for other in pending:
+                        other.cancel()
+                    raise
+    return partials, [metrics_by_shard[shard_id] for shard_id in sorted(metrics_by_shard)]
 
 
 class _ShardedCampaignBase:
@@ -567,6 +492,7 @@ class _ShardedCampaignBase:
     population: WebPopulation
     config: ParallelConfig
     obs: Obs
+    progress: Optional[object]
 
     def _partition(self) -> tuple[list[list[int]], dict[int, int]]:
         # streaming populations publish their own plan (contiguous index
@@ -579,38 +505,59 @@ class _ShardedCampaignBase:
         sizes = {shard_id: len(idx) for shard_id, idx in enumerate(shard_indices)}
         return shard_indices, sizes
 
-    def _execute(self, submit_local, submit_process, kind: str = "campaign") -> tuple[dict[int, object], CampaignMetrics]:
-        """Run all shards under the configured mode.
+    def _shard_population(self) -> WebPopulation:
+        """The population a serial/thread shard runs on (called in the worker)."""
+        return self.population
 
-        ``submit_local(pool_or_none, shard_id)`` runs/submits a shard in
-        serial or thread mode; ``submit_process(pool, shard_id)`` submits
-        the module-level fork entry point. All wall clocks come from the
-        injectable obs clock, so a ``TickClock`` makes the derived rates
-        (``domains_per_sec``, ``parallel_efficiency``) reproducible.
+    def _execute(self, job, merged) -> tuple[object, CampaignMetrics]:
+        """Run every shard of ``job`` under the configured mode.
+
+        Returns ``merged`` with every surviving shard's partial merged in
+        shard-id order, plus the campaign metrics. All wall clocks come
+        from the injectable obs clock, so a ``TickClock`` makes the derived
+        rates (``domains_per_sec``, ``parallel_efficiency``) reproducible.
         """
         config = self.config
         obs = self.obs
-        _, sizes = self._partition()
+        shard_indices, sizes = self._partition()
         dataset = self.population.spec.name
-        progress = getattr(self, "progress", None)
+        progress = self.progress
         if progress is not None:
-            progress.begin(total=sum(sizes.values()), label=f"{dataset}-{kind}")
+            progress.begin(total=sum(sizes.values()), label=f"{dataset}-{job.kind}")
+        process = config.mode == "process"
+
+        def submit(pool, shard_id):
+            # per-site heartbeat advances in serial/thread; process mode
+            # advances per shard in the parent (see _collect_shards)
+            call = functools.partial(
+                _shard_entry,
+                job,
+                _forked_population if process else self._shard_population,
+                shard_id,
+                shard_indices[shard_id],
+                config.retry,
+                config.checkpoint_dir,
+                obs.enabled,
+                None if process else progress,
+            )
+            return call() if pool is None else pool.submit(call)
+
         clock = get_clock()
         started = clock.now()
         with obs.span(
-            "campaign", kind=kind, mode=config.mode, shards=config.shards, dataset=dataset
+            "campaign", kind=job.kind, mode=config.mode, shards=config.shards, dataset=dataset
         ) as campaign_span:
             if config.mode == "serial":
-                partials, shard_metrics = _collect_shards(submit_local, sizes, None, config)
+                partials, shard_metrics = _collect_shards(submit, sizes, None, config)
             elif config.mode == "thread":
                 with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                    partials, shard_metrics = _collect_shards(submit_local, sizes, pool, config)
+                    partials, shard_metrics = _collect_shards(submit, sizes, pool, config)
             else:  # process
                 _FORK_STATE["population"] = self.population
                 try:
                     with _fork_pool(config.workers) as pool:
                         partials, shard_metrics = _collect_shards(
-                            submit_process, sizes, pool, config, progress
+                            submit, sizes, pool, config, progress
                         )
                 finally:
                     _FORK_STATE.pop("population", None)
@@ -632,7 +579,9 @@ class _ShardedCampaignBase:
                     obs.tracer.adopt(shard.spans, parent_id=campaign_span.span_id)
                 if shard.registry is not None:
                     obs.registry.merge(shard.registry)
-        return partials, metrics
+        for shard_id in sorted(partials):
+            merged.merge(partials[shard_id])
+        return merged, metrics
 
 
 @dataclass
@@ -653,55 +602,8 @@ class ShardedZgrabCampaign(_ShardedCampaignBase):
     progress: Optional[object] = field(default=None, repr=False)
 
     def scan(self, scan_index: int = 0) -> ZgrabScanResult:
-        shard_indices, _ = self._partition()
-        retry = self.config.retry
-        resilience = self.config.resilience
-        checkpoint_dir = self.config.checkpoint_dir
-        observe = self.obs.enabled
-        # per-site advances in serial/thread; process advances per shard
-        # in the parent (see _collect_shards)
-        progress = self.progress if self.config.mode != "process" else None
-
-        def submit_local(pool, shard_id):
-            def attempt():
-                return _call_zgrab_work(
-                    self.population,
-                    shard_id,
-                    shard_indices[shard_id],
-                    scan_index,
-                    resilience,
-                    checkpoint_dir,
-                    observe,
-                    progress,
-                )
-
-            def entry():
-                result, retries = run_with_retry(
-                    attempt, retry, key=(f"zgrab{scan_index}", f"shard{shard_id}")
-                )
-                result[1].retries = retries
-                return result
-
-            return entry() if pool is None else pool.submit(entry)
-
-        def submit_process(pool, shard_id):
-            return pool.submit(
-                _zgrab_process_entry,
-                shard_id,
-                shard_indices[shard_id],
-                scan_index,
-                retry,
-                resilience,
-                checkpoint_dir,
-                observe,
-            )
-
-        partials, self.metrics = self._execute(
-            submit_local, submit_process, kind=f"zgrab{scan_index}"
-        )
-        merged = ZgrabScanPartial()
-        for shard_id in sorted(partials):
-            merged.merge(partials[shard_id])
+        job = _ZgrabShardJob(scan_index=scan_index, resilience=self.config.resilience)
+        merged, self.metrics = self._execute(job, ZgrabScanPartial())
         return ZgrabCampaign(population=self.population).finalize_scan(merged, scan_index)
 
     def both_scans(self) -> list[ZgrabScanResult]:
@@ -714,10 +616,11 @@ class ShardedChromeCampaign(_ShardedCampaignBase):
 
     Each shard drives its own fresh browser, so per-page RNG (keyed by URL)
     and page-load timing replay exactly as in the sequential run. In thread
-    mode, pass a ``recipe`` to give every worker thread its own rebuilt
-    population — Coinhive pool state is mutated during visits, and the
-    rebuild isolates those writes without changing any detection outcome.
-    In process mode the fork gives workers copy-on-write isolation for free.
+    mode with more than one worker, pass a ``recipe`` to give every worker
+    thread its own rebuilt population — Coinhive pool state is mutated
+    during visits, and the rebuild isolates those writes without changing
+    any detection outcome. In process mode the fork gives workers
+    copy-on-write isolation for free.
     """
 
     population: Optional[WebPopulation] = None
@@ -741,57 +644,18 @@ class ShardedChromeCampaign(_ShardedCampaignBase):
             self.population = self.recipe.build()
 
     def _shard_population(self) -> WebPopulation:
-        if self.config.mode == "thread" and self.recipe is not None:
+        # only threads share an address space with each other; one worker
+        # thread (or a serial run) reuses the population it was given
+        config = self.config
+        if config.mode == "thread" and config.workers > 1 and self.recipe is not None:
             return _worker_population(self.recipe)
         return self.population
 
     def run(self) -> ChromeCampaignResult:
-        shard_indices, _ = self._partition()
-        retry = self.config.retry
-        browser_config = self.browser_config
-        checkpoint_dir = self.config.checkpoint_dir
-        observe = self.obs.enabled
-        signature_db_path = self.signature_db_path
-        progress = self.progress if self.config.mode != "process" else None
-
-        def submit_local(pool, shard_id):
-            def attempt():
-                return _call_chrome_work(
-                    self._shard_population(),
-                    shard_id,
-                    shard_indices[shard_id],
-                    browser_config,
-                    checkpoint_dir,
-                    observe,
-                    progress,
-                    signature_db_path,
-                )
-
-            def entry():
-                result, retries = run_with_retry(
-                    attempt, retry, key=("chrome", f"shard{shard_id}")
-                )
-                result[1].retries = retries
-                return result
-
-            return entry() if pool is None else pool.submit(entry)
-
-        def submit_process(pool, shard_id):
-            return pool.submit(
-                _chrome_process_entry,
-                shard_id,
-                shard_indices[shard_id],
-                browser_config,
-                retry,
-                checkpoint_dir,
-                observe,
-                signature_db_path,
-            )
-
-        partials, self.metrics = self._execute(submit_local, submit_process, kind="chrome")
-        merged = ChromeRunPartial()
-        for shard_id in sorted(partials):
-            merged.merge(partials[shard_id])
+        job = _ChromeShardJob(
+            browser_config=self.browser_config, signature_db_path=self.signature_db_path
+        )
+        merged, self.metrics = self._execute(job, ChromeRunPartial())
         finalizer = ChromeCampaign(
             population=self.population,
             detector=PageDetector(),  # finalize only aggregates; no detection runs

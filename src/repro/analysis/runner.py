@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.analysis.crawl import ChromeCampaign, ZgrabCampaign
 from repro.analysis.economics import EconomicsReport, user_count_bracket
 from repro.analysis.network import NetworkSimConfig, simulate_network
 from repro.analysis.parallel import (
@@ -44,10 +43,7 @@ class ReproductionConfig:
     """Scales for one full reproduction run.
 
     The defaults favour a quick run (a couple of minutes); the benchmark
-    suite is the full-calibration reference. ``crawl_workers > 1`` (or
-    ``crawl_shards > 1``) routes the crawl campaigns through the sharded
-    parallel executor; the merged results are identical to the sequential
-    path, only faster.
+    suite is the full-calibration reference.
     """
 
     seed: int = 2018
@@ -59,27 +55,26 @@ class ReproductionConfig:
     crawl_shards: int = 1
     crawl_workers: int = 1
     crawl_executor: str = "thread"
-    #: fault-injection profile for the crawls ("" = no chaos plane);
-    #: implies the sharded executor (which carries the fault ledger)
+    #: fault-injection profile for the crawls ("" = no chaos plane)
     fault_profile: str = ""
-    #: checkpoint-journal directory for the crawls (also implies sharded)
+    #: checkpoint-journal directory for the crawls
     checkpoint_dir: Optional[str] = None
     #: write the campaign trace (span JSONL) here after the run
     trace_out: Optional[str] = None
     #: append a per-stage latency table to the report
     profile: bool = False
     #: persist run artifacts (manifest/metrics/trace/profile/ledger) here;
-    #: implies observability and the sharded executor
+    #: implies observability
     run_dir: Optional[str] = None
     #: emit live progress snapshots every N seconds (0 = off)
     heartbeat: float = 0.0
     #: record windowed per-tick telemetry every N seconds into the run
-    #: dir's ``timeseries.jsonl`` (0 = off; implies observability and the
-    #: sharded executor, whose progress hooks poll the recorder)
+    #: dir's ``timeseries.jsonl`` (0 = off; implies observability; the
+    #: executor's progress hooks poll the recorder)
     timeseries_interval: float = 0.0
     #: stream index-addressable populations of this size instead of
     #: materializing ``crawl_scale`` builds (zgrab plane only; Chrome and
-    #: its tables are skipped). Implies the sharded executor.
+    #: its tables are skipped)
     population_size: int = 0
     #: custom rank strata for streaming runs (``parse_strata`` syntax;
     #: "" = the dataset's calibrated default buckets)
@@ -143,20 +138,7 @@ def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> 
         if config.fault_profile
         else None
     )
-    # chaos and checkpointing ride on the sharded executor (which carries
-    # the per-shard fault ledgers), even with a single serial shard
-    # a run dir and heartbeats also imply it: the persisted metrics carry
-    # the shard plane, and the reporter hooks the executor's site loop
     streaming = config.population_size > 0
-    parallel_crawl = (
-        streaming
-        or config.crawl_shards > 1
-        or config.crawl_workers > 1
-        or fault_plan is not None
-        or config.checkpoint_dir is not None
-        or config.run_dir is not None
-        or progress is not None
-    )
     parallel_config = ParallelConfig(
         shards=max(config.crawl_shards, config.crawl_workers),
         workers=config.crawl_workers,
@@ -193,18 +175,13 @@ def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> 
             population = build_population(dataset, seed=config.seed, scale=config.crawl_scale)
         if fault_plan is not None:
             population.attach_fault_plan(fault_plan)
-        if parallel_crawl:
-            zgrab = ShardedZgrabCampaign(
-                population=population, config=parallel_config, obs=obs, progress=progress
-            )
-            zgrab_scans = []
-            for scan_index in (0, 1):  # metrics hold the most recent scan only
-                zgrab_scans.append(zgrab.scan(scan_index))
-                if zgrab.metrics is not None:
-                    fault_ledger.merge(zgrab.metrics.fault_ledger)
-        else:
-            with obs.span("campaign", kind="zgrab", mode="sequential", dataset=dataset):
-                zgrab_scans = ZgrabCampaign(population=population, obs=obs).both_scans()
+        zgrab = ShardedZgrabCampaign(
+            population=population, config=parallel_config, obs=obs, progress=progress
+        )
+        zgrab_scans = []
+        for scan_index in (0, 1):  # metrics hold the most recent scan only
+            zgrab_scans.append(zgrab.scan(scan_index))
+            fault_ledger.merge(zgrab.metrics.fault_ledger)
         for scan_index, scan in enumerate(zgrab_scans):
             verdicts.extend(scan.verdicts)
             if scan.graph is not None:
@@ -229,25 +206,20 @@ def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> 
                 log(f"[crawl] {dataset}: chrome plane skipped (streaming run)")
             continue
         if population.spec.chrome_crawl:
-            if parallel_crawl:
-                chrome = ShardedChromeCampaign(
-                    population=population,
-                    recipe=PopulationRecipe(
-                        dataset,
-                        seed=config.seed,
-                        scale=config.crawl_scale,
-                        fault_profile=config.fault_profile,
-                    ),
-                    config=parallel_config,
-                    obs=obs,
-                    progress=progress,
-                )
-                result = chrome.run()
-                if chrome.metrics is not None:
-                    fault_ledger.merge(chrome.metrics.fault_ledger)
-            else:
-                with obs.span("campaign", kind="chrome", mode="sequential", dataset=dataset):
-                    result = ChromeCampaign(population=population, obs=obs).run()
+            chrome = ShardedChromeCampaign(
+                population=population,
+                recipe=PopulationRecipe(
+                    dataset,
+                    seed=config.seed,
+                    scale=config.crawl_scale,
+                    fault_profile=config.fault_profile,
+                ),
+                config=parallel_config,
+                obs=obs,
+                progress=progress,
+            )
+            result = chrome.run()
+            fault_ledger.merge(chrome.metrics.fault_ledger)
             verdicts.extend(result.verdicts)
             if result.graph is not None:
                 run_graph.merge(result.graph)

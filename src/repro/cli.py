@@ -110,7 +110,6 @@ def _print_fault_ledger(ledger) -> None:
 
 
 def _cmd_crawl(args: argparse.Namespace) -> int:
-    from repro.analysis.crawl import ChromeCampaign, ZgrabCampaign
     from repro.analysis.parallel import (
         ParallelConfig,
         PopulationRecipe,
@@ -169,16 +168,6 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    # chaos and checkpoint/resume need the sharded executor (it carries the
-    # fault ledgers and the per-shard journals), even with one serial shard;
-    # run dirs, heartbeats, and streaming populations ride on it for the
-    # same reason
-    parallel = (
-        streaming
-        or args.shards > 1 or args.workers > 1
-        or plan is not None or args.resume_from is not None
-        or args.run_dir is not None or progress is not None
-    )
     if streaming:
         from repro.internet.population import DATASETS
         from repro.internet.streaming import StreamingPopulation, parse_strata
@@ -212,26 +201,20 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         )
     else:
         print(f"dataset={args.dataset} sites={len(population.sites)} scale={args.scale}")
-    if parallel:
-        config = ParallelConfig(
-            shards=args.shards,
-            workers=args.workers,
-            mode=args.executor,
-            resilience=ResiliencePolicy() if plan is not None else None,
-            checkpoint_dir=args.resume_from,
-        )
-        zgrab = ShardedZgrabCampaign(
-            population=population, config=config, obs=obs, progress=progress
-        )
-        scans = []
-        for scan_index in (0, 1):
-            scans.append(zgrab.scan(scan_index))
-            if zgrab.metrics is not None:
-                population_ledger.merge(zgrab.metrics.fault_ledger)
-    else:
-        zgrab = ZgrabCampaign(population=population, obs=obs)
-        with obs.span("campaign", kind="zgrab", mode="sequential"):
-            scans = zgrab.both_scans()
+    config = ParallelConfig(
+        shards=args.shards,
+        workers=args.workers,
+        mode=args.executor,
+        resilience=ResiliencePolicy() if plan is not None else None,
+        checkpoint_dir=args.resume_from,
+    )
+    zgrab = ShardedZgrabCampaign(
+        population=population, config=config, obs=obs, progress=progress
+    )
+    scans = []
+    for scan_index in (0, 1):
+        scans.append(zgrab.scan(scan_index))
+        population_ledger.merge(zgrab.metrics.fault_ledger)
     from repro.graph.model import Graph
 
     verdicts = []  # populated only on observed runs (campaigns gate)
@@ -271,41 +254,23 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
                 title=f"\nper-stratum prevalence (scan {scan_index})",
             )
         )
-    if parallel and zgrab.metrics is not None:
-        _print_shard_metrics(zgrab.metrics, "\nzgrab shard metrics (second scan)")
+    _print_shard_metrics(zgrab.metrics, "\nzgrab shard metrics (second scan)")
     if not streaming and population.spec.chrome_crawl:
-        if parallel:
-            chrome = ShardedChromeCampaign(
-                population=population,
-                recipe=PopulationRecipe(
-                    args.dataset,
-                    seed=args.seed,
-                    scale=args.scale,
-                    fault_profile=args.fault_profile or "",
-                ),
-                config=config,
-                signature_db_path=signature_db,
-                obs=obs,
-                progress=progress,
-            )
-            result = chrome.run()
-            if chrome.metrics is not None:
-                population_ledger.merge(chrome.metrics.fault_ledger)
-        else:
-            chrome = None
-            detector = None
-            if signature_db:
-                from repro.core.detector import PageDetector
-                from repro.core.signatures import SignatureDatabase
-
-                detector = PageDetector()
-                detector.classifier.database = SignatureDatabase.from_json(
-                    pathlib.Path(signature_db).read_text()
-                )
-            with obs.span("campaign", kind="chrome", mode="sequential"):
-                result = ChromeCampaign(
-                    population=population, detector=detector, obs=obs
-                ).run()
+        chrome = ShardedChromeCampaign(
+            population=population,
+            recipe=PopulationRecipe(
+                args.dataset,
+                seed=args.seed,
+                scale=args.scale,
+                fault_profile=args.fault_profile or "",
+            ),
+            config=config,
+            signature_db_path=signature_db,
+            obs=obs,
+            progress=progress,
+        )
+        result = chrome.run()
+        population_ledger.merge(chrome.metrics.fault_ledger)
         verdicts.extend(result.verdicts)
         if result.graph is not None:
             run_graph.merge(result.graph)
@@ -321,8 +286,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         print(render_table(["metric", "value"], rows, title="\nChrome pass"))
         rows = list(result.signature_counts.most_common(5))
         print(render_table(["family", "sites"], rows, title="\ntop signatures"))
-        if parallel and chrome is not None and chrome.metrics is not None:
-            _print_shard_metrics(chrome.metrics, "\nChrome shard metrics")
+        _print_shard_metrics(chrome.metrics, "\nChrome shard metrics")
     if plan is not None or args.resume_from is not None:
         _print_fault_ledger(population_ledger)
     if args.profile:

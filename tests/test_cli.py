@@ -1,5 +1,8 @@
 """Tests for the repro-mining CLI."""
 
+import contextlib
+import functools
+import io
 import pathlib
 
 import pytest
@@ -73,6 +76,28 @@ class TestNoCoin:
         assert captured.out == ""
 
 
+#: no shard flags (the executor's one-shard default) and two serial shards
+CRAWL_FLAGS = ([], ["--shards", "2", "--executor", "serial"])
+RESULT_TABLES = ("zgrab pass", "Chrome pass", "top signatures")
+
+
+def _result_tables(out: str) -> list:
+    """The zgrab and Chrome result tables of a crawl's stdout, in order."""
+    return [block for block in out.split("\n\n") if block.startswith(RESULT_TABLES)]
+
+
+@functools.lru_cache(maxsize=None)
+def _untraced_crawl_tables(flags: tuple) -> list:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(
+            ["--seed", "3", "crawl", "--dataset", "alexa", "--scale", "0.03", *flags]
+        ) == 0
+    tables = _result_tables(buffer.getvalue())
+    assert len(tables) == len(RESULT_TABLES)
+    return tables
+
+
 class TestCampaignCommands:
     def test_crawl_net(self, capsys):
         assert main(["--seed", "3", "crawl", "--dataset", "net", "--scale", "0.03"]) == 0
@@ -127,23 +152,28 @@ class TestCampaignCommands:
         for stage in ("site", "fetch", "detect"):
             assert stage in out
 
-    def test_crawl_trace_out_writes_jsonl(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags", CRAWL_FLAGS, ids=["default", "sharded"])
+    def test_crawl_trace_out_writes_jsonl(self, flags, tmp_path, capsys):
         from repro.obs.trace import read_jsonl
 
         trace = tmp_path / "trace.jsonl"
         assert main(
             [
-                "--seed", "3", "crawl", "--dataset", "net", "--scale", "0.03",
-                "--shards", "2", "--executor", "serial", "--trace-out", str(trace),
+                "--seed", "3", "crawl", "--dataset", "alexa", "--scale", "0.03",
+                *flags, "--trace-out", str(trace),
             ]
         ) == 0
-        assert f"-> {trace}" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"-> {trace}" in out
         spans = read_jsonl(trace)
         names = {span.name for span in spans}
         assert {"campaign", "shard", "site", "fetch"} <= names
         # every non-root span links to a span in the same file
         ids = {span.span_id for span in spans}
         assert all(span.parent_id in ids for span in spans if span.parent_id)
+        # no shard flags and two serial shards print the same result tables
+        for other in CRAWL_FLAGS:
+            assert _result_tables(out) == _untraced_crawl_tables(tuple(other))
 
     def test_reproduce_profile_section(self, tmp_path, capsys):
         trace = tmp_path / "r.jsonl"

@@ -13,12 +13,11 @@ import pytest
 from repro.analysis.crawl import ZgrabCampaign
 from repro.analysis.parallel import (
     ParallelConfig,
-    RetryPolicy,
     ShardedZgrabCampaign,
     partition_indices,
-    run_with_retry,
     stable_shard,
 )
+from repro.faults.resilience import RetryPolicy, run_with_retry
 from repro.internet.population import build_population
 
 try:
@@ -230,14 +229,14 @@ class TestRetry:
 
         population = build_population("net", seed=9, scale=0.3)
         shard_indices = partition_indices(population.sites, 4)
-        original = parallel._zgrab_shard_work
+        original = parallel._shard_work
 
-        def poisoned(pop, shard_id, indices, scan_index):
+        def poisoned(job, pop, shard_id, indices, *rest):
             if shard_id == 0:
                 raise RuntimeError("poisoned")
-            return original(pop, shard_id, indices, scan_index)
+            return original(job, pop, shard_id, indices, *rest)
 
-        monkeypatch.setattr(parallel, "_zgrab_shard_work", poisoned)
+        monkeypatch.setattr(parallel, "_shard_work", poisoned)
         config = ParallelConfig(
             shards=4, workers=2, mode="thread",
             retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
@@ -260,10 +259,10 @@ class TestRetry:
 
         population = build_population("net", seed=9, scale=0.2)
 
-        def poisoned(pop, shard_id, indices, scan_index):
+        def poisoned(job, pop, shard_id, indices, *rest):
             raise RuntimeError("poisoned")
 
-        monkeypatch.setattr(parallel, "_zgrab_shard_work", poisoned)
+        monkeypatch.setattr(parallel, "_shard_work", poisoned)
         config = ParallelConfig(
             shards=2, workers=2, mode="thread", fail_fast=True,
             retry=RetryPolicy(max_attempts=1, backoff_base=0.0),
@@ -276,15 +275,15 @@ class TestRetry:
 
         population = build_population("net", seed=9, scale=0.2)
         attempts: dict[int, int] = {}
-        original = parallel._zgrab_shard_work
+        original = parallel._shard_work
 
-        def flaky(pop, shard_id, indices, scan_index):
+        def flaky(job, pop, shard_id, indices, *rest):
             attempts[shard_id] = attempts.get(shard_id, 0) + 1
             if shard_id == 1 and attempts[shard_id] == 1:
                 raise RuntimeError("transient")
-            return original(pop, shard_id, indices, scan_index)
+            return original(job, pop, shard_id, indices, *rest)
 
-        monkeypatch.setattr(parallel, "_zgrab_shard_work", flaky)
+        monkeypatch.setattr(parallel, "_shard_work", flaky)
         config = ParallelConfig(
             shards=3, workers=2, mode="thread",
             retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
