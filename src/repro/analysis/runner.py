@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.analysis.crawl import ChromeCampaignResult
 from repro.analysis.economics import EconomicsReport, user_count_bracket
+from repro.analysis.metrics import CampaignMetrics
 from repro.analysis.network import NetworkSimConfig, simulate_network
 from repro.analysis.parallel import (
     ParallelConfig,
@@ -28,10 +30,9 @@ from repro.graph.model import Graph
 from repro.obs.clock import get_clock
 from repro.obs.evidence import VerdictRecord
 from repro.obs.heartbeat import ProgressReporter
-from repro.obs.ledger import RunManifest, write_run
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.ledger import persist_run
 from repro.obs.profile import NULL_OBS, PROFILE_HEADER, make_obs, profile_rows
-from repro.faults.plan import build_fault_plan
+from repro.faults.plan import FaultPlan, build_fault_plan
 from repro.faults.resilience import ResiliencePolicy
 from repro.internet.population import build_population
 from repro.internet.shortlinks import build_shortlink_population
@@ -42,8 +43,9 @@ from repro.sim.clock import utc_timestamp
 class ReproductionConfig:
     """Scales for one full reproduction run.
 
-    The defaults favour a quick run (a couple of minutes); the benchmark
-    suite is the full-calibration reference.
+    The defaults favour a quick run (seconds); the benchmark suite is the
+    full-calibration reference. ``crawl`` runs one dataset of the crawl
+    phase with the same fields.
     """
 
     seed: int = 2018
@@ -105,40 +107,131 @@ class ReproductionReport:
         return "\n".join(lines) + "\n"
 
 
-def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> ReproductionReport:
-    """Run every experiment; returns the assembled report."""
-    config = config if config is not None else ReproductionConfig()
-    report = ReproductionReport(config=config)
-    observe = (
-        bool(config.trace_out)
-        or config.profile
-        or config.run_dir is not None
-        or config.timeseries_interval > 0
-    )
-    obs = make_obs(prefix="repro") if observe else NULL_OBS
-    progress = ProgressReporter(config.heartbeat) if config.heartbeat > 0 else None
-    recorder = None
-    if config.timeseries_interval > 0:
-        from repro.obs.timeseries import RecorderProgress, TimeSeriesRecorder
+class ObservedRun:
+    """Observability for one ``crawl`` or ``reproduce`` run.
 
-        # origin anchored at the current obs-clock reading: tick times are
-        # relative, and a PerfClock's absolute value is arbitrary
-        recorder = TimeSeriesRecorder(
-            registry=obs.registry,
-            interval=config.timeseries_interval,
-            origin=get_clock().now(),
+    Owns the obs context (on when a trace, a profile, a run dir or
+    telemetry is asked for), the heartbeat, the telemetry recorder, and
+    what the run dir persists: the verdicts, attribution graph and fault
+    ledger that :func:`run_dataset` merges in.
+    """
+
+    def __init__(self, prefix: str, config: ReproductionConfig) -> None:
+        self.config = config
+        observe = (
+            bool(config.trace_out)
+            or config.profile
+            or config.run_dir is not None
+            or config.timeseries_interval > 0
         )
-        progress = RecorderProgress(recorder, progress)
-    clock = get_clock()
-    started = clock.now()
+        self.obs = make_obs(prefix=prefix) if observe else NULL_OBS
+        self.progress = ProgressReporter(config.heartbeat) if config.heartbeat > 0 else None
+        self.recorder = None
+        if config.timeseries_interval > 0:
+            from repro.obs.timeseries import RecorderProgress, TimeSeriesRecorder
 
-    # ---- Figure 2 + Tables 1-3 ------------------------------------------------
-    fault_plan = (
-        build_fault_plan(config.fault_profile, seed=config.seed)
-        if config.fault_profile
-        else None
-    )
-    streaming = config.population_size > 0
+            # origin anchored at the current obs-clock reading: tick times are
+            # relative, and a PerfClock's absolute value is arbitrary
+            self.recorder = TimeSeriesRecorder(
+                registry=self.obs.registry,
+                interval=config.timeseries_interval,
+                origin=get_clock().now(),
+            )
+            self.progress = RecorderProgress(self.recorder, self.progress)
+        self.verdicts: list = []  # populated only on observed runs (campaigns gate)
+        self.graph = Graph()  # attribution graph; stays empty on unobserved runs
+        self.ledger = FaultLedger()
+
+    def collect(self, verdicts, graph: Optional[Graph]) -> None:
+        self.verdicts.extend(verdicts)
+        if graph is not None:
+            self.graph.merge(graph)
+
+    def close(self, command: str, params: dict, log=print) -> None:
+        """Write the trace, finish the recorder and write the run dir, as asked.
+
+        The run dir's manifest records the shared campaign settings plus
+        the command's own ``params``.
+        """
+        config = self.config
+        if config.trace_out:
+            self.obs.tracer.write_jsonl(config.trace_out)
+            log(f"trace: {len(self.obs.tracer.spans)} spans -> {config.trace_out}")
+        if self.recorder is not None:
+            self.recorder.finish(get_clock().now())
+            fired = sum(1 for event in self.recorder.alerts if event.kind == "fire")
+            log(
+                f"timeseries: {len(self.recorder.records)} ticks at "
+                f"{config.timeseries_interval:g}s, alerts fired {fired}"
+            )
+        if config.run_dir is None:
+            return
+        params = {
+            "seed": config.seed,
+            "shards": config.crawl_shards,
+            "workers": config.crawl_workers,
+            "executor": config.crawl_executor,
+            "fault_profile": config.fault_profile,
+            "heartbeat": config.heartbeat,
+            "timeseries_interval": config.timeseries_interval,
+            "population_size": config.population_size,
+            "strata": config.strata,
+            "sample_per_stratum": config.sample_per_stratum,
+            **params,
+        }
+        persist_run(
+            config.run_dir, command, params, self.obs.registry, self.ledger,
+            spans=self.obs.tracer.spans,
+            verdicts=self.verdicts,
+            timeseries=self.recorder.timeseries() if self.recorder is not None else None,
+            graph=self.graph,
+            log=log,
+        )
+
+
+@dataclass
+class DatasetRun:
+    """What :func:`run_dataset` ran on one dataset."""
+
+    population: object
+    fault_plan: Optional[FaultPlan]
+    scans: list  # both zgrab scans
+    zgrab_metrics: CampaignMetrics  # of the second scan
+    chrome: Optional[ChromeCampaignResult] = None
+    chrome_metrics: Optional[CampaignMetrics] = None
+
+
+def run_dataset(
+    dataset: str,
+    config: ReproductionConfig,
+    run: ObservedRun,
+    prefix: str,
+    signature_db_path: Optional[str] = None,
+) -> DatasetRun:
+    """Run the paper's §3 methodology on one dataset.
+
+    Two zgrab scans matched against NoCoin, then the instrumented Chrome
+    pass if the dataset has one (streamed populations are zgrab only).
+    Verdicts, graph and fault ledger merge into ``run``; the summary and
+    per-stratum counters land under ``prefix``. ``--workers N`` runs at
+    least N shards, so no worker idles.
+    """
+    fault_plan = build_fault_plan(config.fault_profile, seed=config.seed)
+    if config.population_size > 0:
+        from repro.internet.population import DATASETS
+        from repro.internet.streaming import StreamingPopulation, parse_strata
+
+        population = StreamingPopulation(
+            dataset,
+            seed=config.seed,
+            size=config.population_size,
+            strata=parse_strata(config.strata, DATASETS[dataset]) if config.strata else None,
+            sample_per_stratum=config.sample_per_stratum,
+        )
+    else:
+        population = build_population(dataset, seed=config.seed, scale=config.crawl_scale)
+    if fault_plan is not None:
+        population.attach_fault_plan(fault_plan)
     parallel_config = ParallelConfig(
         shards=max(config.crawl_shards, config.crawl_workers),
         workers=config.crawl_workers,
@@ -146,91 +239,93 @@ def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> 
         resilience=ResiliencePolicy() if fault_plan is not None else None,
         checkpoint_dir=config.checkpoint_dir,
     )
+    obs = run.obs
+    zgrab = ShardedZgrabCampaign(
+        population=population, config=parallel_config, obs=obs, progress=run.progress
+    )
+    scans = []
+    for scan_index in (0, 1):  # metrics hold the most recent scan only
+        scans.append(zgrab.scan(scan_index))
+        run.ledger.merge(zgrab.metrics.fault_ledger)
+    for scan_index, scan in enumerate(scans):
+        run.collect(scan.verdicts, scan.graph)
+        # campaign-level summary counters: schedule-independent, so
+        # persisted runs diff on them (and CI can gate on ratios)
+        scan_prefix = f"{prefix}.zgrab{scan_index}"
+        obs.inc(f"{scan_prefix}.domains_probed", scan.domains_probed)
+        obs.inc(f"{scan_prefix}.nocoin_domains", scan.nocoin_domains)
+        obs.inc(f"{scan_prefix}.fetch_failures", scan.fetch_failures)
+        for row in scan.stratum_rows:
+            obs.inc(f"{scan_prefix}.stratum.{row.stratum}.probed", row.probed)
+            obs.inc(f"{scan_prefix}.stratum.{row.stratum}.hits", row.hits)
+    result = DatasetRun(population, fault_plan, scans, zgrab.metrics)
+    if config.population_size > 0 or not population.spec.chrome_crawl:
+        return result
+    chrome = ShardedChromeCampaign(
+        population=population,
+        recipe=PopulationRecipe(
+            dataset,
+            seed=config.seed,
+            scale=config.crawl_scale,
+            fault_profile=config.fault_profile,
+        ),
+        config=parallel_config,
+        signature_db_path=signature_db_path,
+        obs=obs,
+        progress=run.progress,
+    )
+    result.chrome = chrome.run()
+    result.chrome_metrics = chrome.metrics
+    run.ledger.merge(chrome.metrics.fault_ledger)
+    run.collect(result.chrome.verdicts, result.chrome.graph)
+    tab = result.chrome.cross_tab
+    obs.inc(f"{prefix}.chrome.wasm_miners", tab.wasm_miner_hits)
+    obs.inc(f"{prefix}.chrome.nocoin_hits", tab.nocoin_hits)
+    return result
+
+
+def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> ReproductionReport:
+    """Run every experiment; returns the assembled report."""
+    config = config if config is not None else ReproductionConfig()
+    report = ReproductionReport(config=config)
+    run = ObservedRun("repro", config)
+    obs = run.obs
+    clock = get_clock()
+    started = clock.now()
+
+    # ---- Figure 2 + Tables 1-3 ------------------------------------------------
+    streaming = config.population_size > 0
     chrome_rows = []
     fig2_rows = []
     stratum_rows = []
-    fault_ledger = FaultLedger()
-    verdicts: list = []  # populated only on observed runs (campaigns gate)
-    run_graph = Graph()  # attribution graph; stays empty on unobserved runs
     for dataset in config.datasets:
         if streaming:
-            from repro.internet.population import DATASETS
-            from repro.internet.streaming import StreamingPopulation, parse_strata
-
             log(f"[crawl] {dataset} @ streaming population {config.population_size}")
-            strata = (
-                parse_strata(config.strata, DATASETS[dataset])
-                if config.strata
-                else None
-            )
-            population = StreamingPopulation(
-                dataset,
-                seed=config.seed,
-                size=config.population_size,
-                strata=strata,
-                sample_per_stratum=config.sample_per_stratum,
-            )
         else:
             log(f"[crawl] {dataset} @ scale {config.crawl_scale}")
-            population = build_population(dataset, seed=config.seed, scale=config.crawl_scale)
-        if fault_plan is not None:
-            population.attach_fault_plan(fault_plan)
-        zgrab = ShardedZgrabCampaign(
-            population=population, config=parallel_config, obs=obs, progress=progress
-        )
-        zgrab_scans = []
-        for scan_index in (0, 1):  # metrics hold the most recent scan only
-            zgrab_scans.append(zgrab.scan(scan_index))
-            fault_ledger.merge(zgrab.metrics.fault_ledger)
-        for scan_index, scan in enumerate(zgrab_scans):
-            verdicts.extend(scan.verdicts)
-            if scan.graph is not None:
-                run_graph.merge(scan.graph)
+        result = run_dataset(dataset, config, run, prefix=f"crawl.{dataset}")
+        for scan_index, scan in enumerate(result.scans):
             fig2_rows.append(
                 [dataset, scan.scan_date, scan.nocoin_domains, f"{scan.prevalence:.4%}"]
             )
-            # campaign-level summary counters: schedule-independent, so
-            # persisted runs diff on them (and CI can gate on ratios)
-            prefix = f"crawl.{dataset}.zgrab{scan_index}"
-            obs.inc(f"{prefix}.domains_probed", scan.domains_probed)
-            obs.inc(f"{prefix}.nocoin_domains", scan.nocoin_domains)
-            obs.inc(f"{prefix}.fetch_failures", scan.fetch_failures)
             for row in scan.stratum_rows:
                 stratum_rows.append(
                     [dataset, scan_index, row.stratum, row.probed, row.hits,
                      f"{row.prevalence:.4%}", row.population_size,
                      row.estimated_domains]
                 )
-        if streaming:
-            if population.spec.chrome_crawl:
-                log(f"[crawl] {dataset}: chrome plane skipped (streaming run)")
-            continue
-        if population.spec.chrome_crawl:
-            chrome = ShardedChromeCampaign(
-                population=population,
-                recipe=PopulationRecipe(
-                    dataset,
-                    seed=config.seed,
-                    scale=config.crawl_scale,
-                    fault_profile=config.fault_profile,
-                ),
-                config=parallel_config,
-                obs=obs,
-                progress=progress,
+        if streaming and result.population.spec.chrome_crawl:
+            log(f"[crawl] {dataset}: chrome plane skipped (streaming run)")
+        if result.chrome is not None:
+            tab = result.chrome.cross_tab
+            top = ", ".join(
+                f"{f}:{c}" for f, c in result.chrome.signature_counts.most_common(3)
             )
-            result = chrome.run()
-            fault_ledger.merge(chrome.metrics.fault_ledger)
-            verdicts.extend(result.verdicts)
-            if result.graph is not None:
-                run_graph.merge(result.graph)
-            tab = result.cross_tab
-            top = ", ".join(f"{f}:{c}" for f, c in result.signature_counts.most_common(3))
             chrome_rows.append(
                 [dataset, tab.wasm_miner_hits, tab.nocoin_hits,
                  f"{tab.missed_fraction:.0%}", f"{tab.detection_factor:.1f}x", top]
             )
-            obs.inc(f"crawl.{dataset}.chrome.wasm_miners", tab.wasm_miner_hits)
-            obs.inc(f"crawl.{dataset}.chrome.nocoin_hits", tab.nocoin_hits)
+        del result  # one dataset's population in memory at a time
     report.sections["Figure 2 — NoCoin prevalence"] = render_table(
         ["dataset", "scan", "NoCoin domains", "prevalence"], fig2_rows
     )
@@ -244,12 +339,15 @@ def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> 
              "stratum size", "est. domains"],
             stratum_rows,
         )
-    chaos_active = fault_plan is not None or config.checkpoint_dir is not None
-    if chaos_active and fault_ledger.has_events():
+    chaos_active = (
+        build_fault_plan(config.fault_profile, seed=config.seed) is not None
+        or config.checkpoint_dir is not None
+    )
+    if chaos_active and run.ledger.has_events():
         report.sections["Fault ledger"] = (
-            render_table(FaultLedger.SUMMARY_HEADER, fault_ledger.summary_rows())
+            render_table(FaultLedger.SUMMARY_HEADER, run.ledger.summary_rows())
             + "\n"
-            + fault_ledger.status_line()
+            + run.ledger.status_line()
         )
 
     # ---- Figures 3-4 + Tables 4-5 ------------------------------------------------
@@ -300,8 +398,8 @@ def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> 
                 confidence=1.0,
                 evidence=(evidence,),
             )
-            verdicts.append(record)
-            add_verdict(run_graph, record)
+            run.verdicts.append(record)
+            add_verdict(run.graph, record)
     economics = EconomicsReport.from_attributed(observation.attributed)
     median_difficulty = observation.chain.median_difficulty(last=5000)
     pool_rate = observation.overall_share() * median_difficulty / 120
@@ -322,47 +420,22 @@ def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> 
         ],
     )
 
-    if recorder is not None:
-        recorder.finish(get_clock().now())
     if config.profile:
         rows = profile_rows(obs.registry)
         report.sections["Stage profile"] = (
             render_table(PROFILE_HEADER, rows) if rows else "(no stages recorded)"
         )
-    if config.trace_out:
-        obs.tracer.write_jsonl(config.trace_out)
-        log(f"[trace] {len(obs.tracer.spans)} spans -> {config.trace_out}")
-    if config.run_dir is not None:
-        manifest = RunManifest.build(
-            "reproduce",
-            {
-                "seed": config.seed,
-                "crawl_scale": config.crawl_scale,
-                "shortlink_scale": config.shortlink_scale,
-                "shortlink_samples": config.shortlink_samples,
-                "network_days": config.network_days,
-                "datasets": ",".join(config.datasets),
-                "shards": config.crawl_shards,
-                "workers": config.crawl_workers,
-                "executor": config.crawl_executor,
-                "fault_profile": config.fault_profile,
-                "heartbeat": config.heartbeat,
-                "timeseries_interval": config.timeseries_interval,
-                "population_size": config.population_size,
-                "strata": config.strata,
-                "sample_per_stratum": config.sample_per_stratum,
-            },
-        )
-        registry = MetricsRegistry()
-        registry.merge(obs.registry)
-        registry.merge(fault_ledger.as_registry())
-        write_run(
-            config.run_dir, manifest, registry, obs.tracer.spans, fault_ledger,
-            verdicts=verdicts,
-            timeseries=recorder.timeseries() if recorder is not None else None,
-            graph=run_graph if run_graph else None,
-        )
-        log(f"[run] artifacts ({manifest.run_id}) -> {config.run_dir}")
+    run.close(
+        "reproduce",
+        {
+            "crawl_scale": config.crawl_scale,
+            "shortlink_scale": config.shortlink_scale,
+            "shortlink_samples": config.shortlink_samples,
+            "network_days": config.network_days,
+            "datasets": ",".join(config.datasets),
+        },
+        log=log,
+    )
 
     report.elapsed_seconds = clock.now() - started
     return report

@@ -109,133 +109,71 @@ def _print_fault_ledger(ledger) -> None:
     print(ledger.status_line())
 
 
+def _campaign_config(args: argparse.Namespace, **fields):
+    """The :class:`ReproductionConfig` the shared campaign and obs flags set."""
+    from repro.analysis.runner import ReproductionConfig
+
+    return ReproductionConfig(
+        seed=args.seed,
+        population_size=args.population_size,
+        strata=args.strata,
+        sample_per_stratum=args.sample_per_stratum,
+        crawl_shards=args.shards,
+        crawl_workers=args.workers,
+        crawl_executor=args.executor,
+        fault_profile=args.fault_profile,
+        checkpoint_dir=args.resume_from,
+        trace_out=args.trace_out,
+        profile=args.profile,
+        run_dir=args.run_dir,
+        heartbeat=args.heartbeat,
+        timeseries_interval=args.timeseries_interval,
+        **fields,
+    )
+
+
 def _cmd_crawl(args: argparse.Namespace) -> int:
-    from repro.analysis.parallel import (
-        ParallelConfig,
-        PopulationRecipe,
-        ShardedChromeCampaign,
-        ShardedZgrabCampaign,
-    )
     from repro.analysis.reporting import render_table
-    from repro.faults.ledger import FaultLedger
-    from repro.faults.plan import build_fault_plan
-    from repro.faults.resilience import ResiliencePolicy
-    from repro.internet.population import build_population
-    from repro.obs.heartbeat import ProgressReporter
-    from repro.obs.profile import NULL_OBS, make_obs, render_profile
+    from repro.analysis.runner import ObservedRun, run_dataset
+    from repro.internet.population import DATASETS
+    from repro.obs.profile import render_profile
 
-    timeseries_interval = getattr(args, "timeseries_interval", 0.0) or 0.0
-    if timeseries_interval < 0:
-        print("error: --timeseries-interval must be >= 0", file=sys.stderr)
+    streaming = args.population_size > 0
+    if streaming and DATASETS[args.dataset].chrome_crawl and not args.zgrab_only:
+        # refuse rather than silently skip the Chrome plane: a streamed
+        # chrome-crawl dataset would produce tables missing half the
+        # paper's numbers without saying so
+        print(
+            f"error: --population-size streams the zgrab plane only, but "
+            f"dataset {args.dataset!r} includes a Chrome pass; pass "
+            f"--zgrab-only to run just the zgrab plane, or drop "
+            f"--population-size and use --scale for Chrome experiments",
+            file=sys.stderr,
+        )
         return 2
-    observe = (
-        bool(args.trace_out)
-        or args.profile
-        or args.run_dir is not None
-        or timeseries_interval > 0
+    config = _campaign_config(args, crawl_scale=args.scale, datasets=(args.dataset,))
+    run = ObservedRun("crawl", config)
+    result = run_dataset(
+        args.dataset, config, run, prefix="crawl", signature_db_path=args.signature_db
     )
-    obs = make_obs(prefix="crawl") if observe else NULL_OBS
-    progress = ProgressReporter(args.heartbeat) if args.heartbeat > 0 else None
-    recorder = None
-    if timeseries_interval > 0:
-        from repro.obs.clock import get_clock
-        from repro.obs.timeseries import RecorderProgress, TimeSeriesRecorder
-
-        # anchor the tick origin at the current obs-clock reading: under a
-        # PerfClock the absolute time is arbitrary, and TickRecord times
-        # are relative to this origin anyway
-        recorder = TimeSeriesRecorder(
-            registry=obs.registry,
-            interval=timeseries_interval,
-            origin=get_clock().now(),
-        )
-        progress = RecorderProgress(recorder, progress)
-    plan = build_fault_plan(args.fault_profile, seed=args.seed)
-    population_size = getattr(args, "population_size", 0) or 0
-    streaming = population_size > 0
-    if streaming:
-        from repro.internet.population import DATASETS
-
-        if DATASETS[args.dataset].chrome_crawl and not getattr(args, "zgrab_only", False):
-            # refuse rather than silently skip the Chrome plane: a streamed
-            # chrome-crawl dataset would produce tables missing half the
-            # paper's numbers without saying so
-            print(
-                f"error: --population-size streams the zgrab plane only, but "
-                f"dataset {args.dataset!r} includes a Chrome pass; pass "
-                f"--zgrab-only to run just the zgrab plane, or drop "
-                f"--population-size and use --scale for Chrome experiments",
-                file=sys.stderr,
-            )
-            return 2
-    if streaming:
-        from repro.internet.population import DATASETS
-        from repro.internet.streaming import StreamingPopulation, parse_strata
-
-        strata_text = getattr(args, "strata", "") or ""
-        strata = (
-            parse_strata(strata_text, DATASETS[args.dataset]) if strata_text else None
-        )
-        population = StreamingPopulation(
-            args.dataset,
-            seed=args.seed,
-            size=population_size,
-            strata=strata,
-            sample_per_stratum=getattr(args, "sample_per_stratum", 0) or 0,
-        )
-    else:
-        population = build_population(args.dataset, seed=args.seed, scale=args.scale)
-    if plan is not None:
-        population.attach_fault_plan(plan)
+    population = result.population
+    if result.fault_plan is not None:
         print(f"fault profile: {args.fault_profile} (seed={args.seed})")
-    signature_db = getattr(args, "signature_db", None)
-    if signature_db:
-        print(f"signature db: {signature_db}")
-    population_ledger = FaultLedger()
+    if args.signature_db:
+        print(f"signature db: {args.signature_db}")
     if streaming:
-        scanned = len(population.scan_indices())
         print(
             f"dataset={args.dataset} population={population.size} "
-            f"scanned={scanned} strata="
+            f"scanned={len(population.scan_indices())} strata="
             + ",".join(s.name for s in population.strata)
         )
     else:
         print(f"dataset={args.dataset} sites={len(population.sites)} scale={args.scale}")
-    config = ParallelConfig(
-        shards=args.shards,
-        workers=args.workers,
-        mode=args.executor,
-        resilience=ResiliencePolicy() if plan is not None else None,
-        checkpoint_dir=args.resume_from,
-    )
-    zgrab = ShardedZgrabCampaign(
-        population=population, config=config, obs=obs, progress=progress
-    )
-    scans = []
-    for scan_index in (0, 1):
-        scans.append(zgrab.scan(scan_index))
-        population_ledger.merge(zgrab.metrics.fault_ledger)
-    from repro.graph.model import Graph
-
-    verdicts = []  # populated only on observed runs (campaigns gate)
-    run_graph = Graph()
-    for scan_index, scan in enumerate(scans):
-        verdicts.extend(scan.verdicts)
-        if scan.graph is not None:
-            run_graph.merge(scan.graph)
-        # campaign-level summary counters land in the persisted metrics, so
-        # run diffs (and CI --fail-on gates) can compare detection outcomes
-        obs.inc(f"crawl.zgrab{scan_index}.domains_probed", scan.domains_probed)
-        obs.inc(f"crawl.zgrab{scan_index}.nocoin_domains", scan.nocoin_domains)
-        obs.inc(f"crawl.zgrab{scan_index}.fetch_failures", scan.fetch_failures)
-    rows = [[s.scan_date, s.nocoin_domains, f"{s.prevalence:.4%}"] for s in scans]
+    rows = [[s.scan_date, s.nocoin_domains, f"{s.prevalence:.4%}"] for s in result.scans]
     print(render_table(["scan", "NoCoin domains", "prevalence"], rows, title="\nzgrab pass"))
-    for scan_index, scan in enumerate(scans):
+    for scan_index, scan in enumerate(result.scans):
         if not scan.stratum_rows:
             continue
-        for row in scan.stratum_rows:
-            obs.inc(f"crawl.zgrab{scan_index}.stratum.{row.stratum}.probed", row.probed)
-            obs.inc(f"crawl.zgrab{scan_index}.stratum.{row.stratum}.hits", row.hits)
         rows = [
             [
                 row.stratum,
@@ -254,29 +192,9 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
                 title=f"\nper-stratum prevalence (scan {scan_index})",
             )
         )
-    _print_shard_metrics(zgrab.metrics, "\nzgrab shard metrics (second scan)")
-    if not streaming and population.spec.chrome_crawl:
-        chrome = ShardedChromeCampaign(
-            population=population,
-            recipe=PopulationRecipe(
-                args.dataset,
-                seed=args.seed,
-                scale=args.scale,
-                fault_profile=args.fault_profile or "",
-            ),
-            config=config,
-            signature_db_path=signature_db,
-            obs=obs,
-            progress=progress,
-        )
-        result = chrome.run()
-        population_ledger.merge(chrome.metrics.fault_ledger)
-        verdicts.extend(result.verdicts)
-        if result.graph is not None:
-            run_graph.merge(result.graph)
-        tab = result.cross_tab
-        obs.inc("crawl.chrome.wasm_miners", tab.wasm_miner_hits)
-        obs.inc("crawl.chrome.nocoin_hits", tab.nocoin_hits)
+    _print_shard_metrics(result.zgrab_metrics, "\nzgrab shard metrics (second scan)")
+    if result.chrome is not None:
+        tab = result.chrome.cross_tab
         rows = [
             ["Wasm miner sites", tab.wasm_miner_hits],
             ["NoCoin hits", tab.nocoin_hits],
@@ -284,58 +202,18 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
             ["detection factor", f"{tab.detection_factor:.1f}x"],
         ]
         print(render_table(["metric", "value"], rows, title="\nChrome pass"))
-        rows = list(result.signature_counts.most_common(5))
+        rows = list(result.chrome.signature_counts.most_common(5))
         print(render_table(["family", "sites"], rows, title="\ntop signatures"))
-        _print_shard_metrics(chrome.metrics, "\nChrome shard metrics")
-    if plan is not None or args.resume_from is not None:
-        _print_fault_ledger(population_ledger)
+        _print_shard_metrics(result.chrome_metrics, "\nChrome shard metrics")
+    if result.fault_plan is not None or args.resume_from is not None:
+        _print_fault_ledger(run.ledger)
     if args.profile:
         print()
-        print(render_profile(obs.registry, title="stage profile"))
-    if args.trace_out:
-        obs.tracer.write_jsonl(args.trace_out)
-        print(f"trace: {len(obs.tracer.spans)} spans -> {args.trace_out}")
-    if recorder is not None:
-        from repro.obs.clock import get_clock
-
-        recorder.finish(get_clock().now())
-        fired = sum(1 for event in recorder.alerts if event.kind == "fire")
-        print(
-            f"timeseries: {len(recorder.records)} ticks at "
-            f"{timeseries_interval:g}s, alerts fired {fired}"
-        )
-    if args.run_dir is not None:
-        from repro.obs.ledger import RunManifest, write_run
-        from repro.obs.metrics import MetricsRegistry
-
-        manifest = RunManifest.build(
-            "crawl",
-            {
-                "dataset": args.dataset,
-                "seed": args.seed,
-                "scale": args.scale,
-                "shards": args.shards,
-                "workers": args.workers,
-                "executor": args.executor,
-                "fault_profile": args.fault_profile or "",
-                "heartbeat": args.heartbeat,
-                "timeseries_interval": timeseries_interval,
-                "signature_db": signature_db or "",
-                "population_size": population_size,
-                "strata": getattr(args, "strata", "") or "",
-                "sample_per_stratum": getattr(args, "sample_per_stratum", 0) or 0,
-            },
-        )
-        registry = MetricsRegistry()
-        registry.merge(obs.registry)
-        registry.merge(population_ledger.as_registry())
-        write_run(
-            args.run_dir, manifest, registry, obs.tracer.spans, population_ledger,
-            verdicts=verdicts,
-            timeseries=recorder.timeseries() if recorder is not None else None,
-            graph=run_graph if run_graph else None,
-        )
-        print(f"run artifacts ({manifest.run_id}) -> {args.run_dir}")
+        print(render_profile(run.obs.registry, title="stage profile"))
+    run.close(
+        "crawl",
+        {"dataset": args.dataset, "scale": args.scale, "signature_db": args.signature_db or ""},
+    )
     return 0
 
 
@@ -348,9 +226,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.wasm.builder import WasmCorpusBuilder
 
     interval = args.timeseries_interval
-    if interval < 0:
-        print("error: --timeseries-interval must be >= 0", file=sys.stderr)
-        return 2
     if interval > 0 and args.duration <= 0:
         print(
             "error: --timeseries-interval needs --duration; the recorder ticks "
@@ -496,10 +371,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"  [{event.kind}] {event.summary}")
     _print_fault_ledger(server.ledger)
     if args.run_dir is not None:
-        from repro.obs.ledger import RunManifest, write_run
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.ledger import persist_run
 
-        manifest = RunManifest.build(
+        persist_run(
+            args.run_dir,
             "serve",
             {
                 "dataset": args.dataset,
@@ -513,20 +388,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "timeseries_interval": interval,
                 "heartbeat": args.heartbeat,
             },
-        )
-        registry = MetricsRegistry()
-        registry.merge(server.metrics)
-        registry.merge(server.ledger.as_registry())
-        from repro.graph.build import graph_from_verdicts
-
-        graph = graph_from_verdicts(server.verdicts)
-        write_run(
-            args.run_dir, manifest, registry, [], server.ledger,
+            server.metrics,
+            server.ledger,
             verdicts=server.verdicts,
             timeseries=recorder.timeseries() if recorder is not None else None,
-            graph=graph if graph else None,
         )
-        print(f"run artifacts ({manifest.run_id}) -> {args.run_dir}")
     return 0
 
 
@@ -534,9 +400,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import render_table
     from repro.service.loadgen import LoadgenConfig, run_loadgen
 
-    if args.timeseries_interval < 0:
-        print("error: --timeseries-interval must be >= 0", file=sys.stderr)
-        return 2
     config = LoadgenConfig(
         seed=args.seed,
         dataset=args.dataset,
@@ -568,10 +431,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             print(f"[{event.kind}] {event.summary}")
     _print_fault_ledger(report.server.ledger)
     if args.run_dir is not None:
-        from repro.obs.ledger import RunManifest, write_run
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.ledger import persist_run
 
-        manifest = RunManifest.build(
+        persist_run(
+            args.run_dir,
             "loadgen",
             {
                 "dataset": config.dataset,
@@ -587,20 +450,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 "cooldown": config.cooldown,
                 "heartbeat": config.heartbeat,
             },
-        )
-        registry = MetricsRegistry()
-        registry.merge(report.server.metrics)
-        registry.merge(report.server.ledger.as_registry())
-        from repro.graph.build import graph_from_verdicts
-
-        graph = graph_from_verdicts(report.server.verdicts)
-        write_run(
-            args.run_dir, manifest, registry, [], report.server.ledger,
+            report.server.metrics,
+            report.server.ledger,
             verdicts=report.server.verdicts,
             timeseries=report.timeseries,
-            graph=graph if graph else None,
         )
-        print(f"run artifacts ({manifest.run_id}) -> {args.run_dir}")
     return 0
 
 
@@ -649,26 +503,13 @@ def _cmd_attribute(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    from repro.analysis.runner import ReproductionConfig, run_reproduction
+    from repro.analysis.runner import run_reproduction
 
-    config = ReproductionConfig(
-        seed=args.seed,
+    config = _campaign_config(
+        args,
         crawl_scale=args.crawl_scale,
-        population_size=args.population_size,
-        strata=args.strata,
-        sample_per_stratum=args.sample_per_stratum,
         shortlink_scale=args.shortlink_scale,
         network_days=args.days,
-        crawl_shards=args.shards,
-        crawl_workers=args.workers,
-        crawl_executor=args.executor,
-        fault_profile=args.fault_profile or "",
-        checkpoint_dir=args.resume_from,
-        trace_out=args.trace_out,
-        profile=args.profile,
-        run_dir=args.run_dir,
-        heartbeat=args.heartbeat,
-        timeseries_interval=args.timeseries_interval,
     )
     report = run_reproduction(config)
     markdown = report.to_markdown()
@@ -678,6 +519,17 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     else:
         print(markdown)
     return 0
+
+
+def _load_run(run, allow_torn: bool = False):
+    """``load_run`` for the obs commands: ``None`` after printing the error."""
+    from repro.obs.ledger import TornRunError, load_run
+
+    try:
+        return load_run(run, allow_torn=allow_torn)
+    except (TornRunError, FileNotFoundError, ValueError) as exc:
+        print(f"error: {exc}")
+        return None
 
 
 def _fmt_ns(ns: int) -> str:
@@ -692,12 +544,9 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import render_table
     from repro.faults.ledger import FaultLedger
     from repro.obs import analyze
-    from repro.obs.ledger import TornRunError, load_run
 
-    try:
-        artifacts = load_run(args.run, allow_torn=args.allow_torn)
-    except (TornRunError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}")
+    artifacts = _load_run(args.run, args.allow_torn)
+    if artifacts is None:
         return 1
     manifest = artifacts.manifest
     print(
@@ -814,13 +663,10 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
 def _cmd_obs_diff(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import render_table
     from repro.obs import analyze
-    from repro.obs.ledger import TornRunError, load_run
 
-    try:
-        base = load_run(args.base)
-        head = load_run(args.head)
-    except (TornRunError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}")
+    base = _load_run(args.base)
+    head = _load_run(args.head) if base is not None else None
+    if head is None:
         return 1
 
     mismatches = [
@@ -902,12 +748,9 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
 
 def _cmd_obs_explain(args: argparse.Namespace) -> int:
     from repro.obs.evidence import render_verdict
-    from repro.obs.ledger import TornRunError, load_run
 
-    try:
-        artifacts = load_run(args.run, allow_torn=args.allow_torn)
-    except (TornRunError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}")
+    artifacts = _load_run(args.run, args.allow_torn)
+    if artifacts is None:
         return 1
     if not artifacts.verdicts:
         print(
@@ -949,12 +792,8 @@ def _cmd_obs_explain(args: argparse.Namespace) -> int:
 
 def _load_run_graph(args: argparse.Namespace):
     """``RunArtifacts`` with a graph, or ``None`` after printing the error."""
-    from repro.obs.ledger import TornRunError, load_run
-
-    try:
-        artifacts = load_run(args.run, allow_torn=args.allow_torn)
-    except (TornRunError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}")
+    artifacts = _load_run(args.run, args.allow_torn)
+    if artifacts is None:
         return None
     if artifacts.graph is None:
         print(
@@ -1130,12 +969,9 @@ def _cmd_obs_graph_query(args: argparse.Namespace) -> int:
 def _cmd_obs_scorecard(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import render_table
     from repro.obs import analyze, scorecard
-    from repro.obs.ledger import TornRunError, load_run
 
-    try:
-        artifacts = load_run(args.run, allow_torn=args.allow_torn)
-    except (TornRunError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}")
+    artifacts = _load_run(args.run, args.allow_torn)
+    if artifacts is None:
         return 1
     try:
         card = scorecard.build_scorecard(artifacts)
@@ -1177,13 +1013,10 @@ def _cmd_obs_scorecard(args: argparse.Namespace) -> int:
 
 def _cmd_obs_slo(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import render_table
-    from repro.obs.ledger import TornRunError, load_run
     from repro.service.slo import evaluate_slo, parse_slo, slo_summary_rows
 
-    try:
-        artifacts = load_run(args.run, allow_torn=args.allow_torn)
-    except (TornRunError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}")
+    artifacts = _load_run(args.run, args.allow_torn)
+    if artifacts is None:
         return 1
     registry = artifacts.registry
     if "service.requests.offered" not in registry.counters:
@@ -1231,12 +1064,8 @@ def _sparkline(values) -> str:
 def _cmd_obs_timeline(args: argparse.Namespace) -> int:
     import fnmatch
 
-    from repro.obs.ledger import TornRunError, load_run
-
-    try:
-        artifacts = load_run(args.run, allow_torn=args.allow_torn)
-    except (TornRunError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}")
+    artifacts = _load_run(args.run, args.allow_torn)
+    if artifacts is None:
         return 1
     series = artifacts.timeseries
     if series is None:
@@ -1388,13 +1217,10 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_export(args: argparse.Namespace) -> int:
-    from repro.obs.ledger import TornRunError, load_run
     from repro.obs.prom import registry_to_prom
 
-    try:
-        artifacts = load_run(args.run, allow_torn=args.allow_torn)
-    except (TornRunError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}")
+    artifacts = _load_run(args.run, args.allow_torn)
+    if artifacts is None:
         return 1
     text = registry_to_prom(artifacts.registry)
     if args.out:
@@ -1445,6 +1271,98 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         count += 1
     print(f"wrote {count} modules to {out}")
     return 0
+
+
+def _add_campaign_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--population-size",
+        type=int,
+        default=0,
+        metavar="N",
+        help="stream an N-domain index-addressable population instead of "
+        "materializing the scale (zgrab plane only; constant memory per shard)",
+    )
+    p.add_argument(
+        "--strata",
+        default="",
+        help="rank strata for --population-size as name:hi_rank:signal_rate,... "
+        "(empty hi_rank = tail); default: the dataset's calibrated "
+        "top1k/top10k/top100k/top1m/tail buckets",
+    )
+    p.add_argument(
+        "--sample-per-stratum",
+        type=int,
+        default=0,
+        metavar="K",
+        help="scan only K uniformly-sampled ranks per stratum instead of the "
+        "full population (0 = full scan); prevalence tables extrapolate",
+    )
+    p.add_argument("--shards", type=_positive_int, default=1, help="split the population into N shards")
+    p.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help="worker pool size for shard execution (runs at least this many shards)",
+    )
+    p.add_argument(
+        "--executor",
+        choices=("serial", "thread", "process"),
+        default="thread",
+        help="shard execution mode (process = fork-based pool, Linux)",
+    )
+    p.add_argument(
+        "--fault-profile",
+        default="",
+        help="chaos profile: none | mild | heavy | kind=rate,... (e.g. reset=0.2)",
+    )
+    p.add_argument(
+        "--resume-from",
+        default=None,
+        metavar="DIR",
+        help="checkpoint-journal directory; a rerun resumes completed sites from it "
+        "(journals are unpickled on load — use only directories this tool wrote)",
+    )
+
+
+def _add_service_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--dataset", choices=("alexa", "com", "net", "org"), default="alexa")
+    p.add_argument("--scale", type=float, default=0.1)
+    p.add_argument(
+        "--rate",
+        type=float,
+        default=40.0,
+        help="offered load, requests/second (loadgen splits it over tenants)",
+    )
+    p.add_argument(
+        "--fault-profile",
+        default="",
+        help="chaos profile: none | mild | heavy | kind=rate,...",
+    )
+    p.add_argument(
+        "--run-dir",
+        default=None,
+        metavar="DIR",
+        help="persist run artifacts here for `obs slo` / `obs explain`; with "
+        "--timeseries-interval the recorder rewrites timeseries.jsonl "
+        "atomically every tick so `obs top --watch` can follow the run live",
+    )
+    p.add_argument(
+        "--timeseries-interval",
+        type=float,
+        default=0.0,
+        metavar="SECS",
+        help="record windowed telemetry every SECS simulated seconds and "
+        "evaluate the default burn-rate alert rules (0 = off; serve needs "
+        "--duration)",
+    )
+    p.add_argument(
+        "--heartbeat",
+        type=float,
+        default=0.0,
+        metavar="SECS",
+        help="live progress + service health (queue depth, shed rate, "
+        "degradation tier) every SECS simulated seconds (serve needs --duration)",
+    )
 
 
 def _add_obs_flags(p: argparse.ArgumentParser) -> None:
@@ -1512,53 +1430,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", choices=("alexa", "com", "net", "org"), default="alexa")
     p.add_argument("--scale", type=float, default=0.1)
     p.add_argument(
-        "--population-size",
-        type=int,
-        default=0,
-        metavar="N",
-        help="stream an N-domain index-addressable population instead of "
-        "materializing --scale (zgrab plane only; constant memory per shard)",
-    )
-    p.add_argument(
-        "--strata",
-        default="",
-        help="rank strata for --population-size as name:hi_rank:signal_rate,... "
-        "(empty hi_rank = tail); default: the dataset's calibrated "
-        "top1k/top10k/top100k/top1m/tail buckets",
-    )
-    p.add_argument(
-        "--sample-per-stratum",
-        type=int,
-        default=0,
-        metavar="K",
-        help="scan only K uniformly-sampled ranks per stratum instead of the "
-        "full population (0 = full scan); prevalence tables extrapolate",
-    )
-    p.add_argument(
         "--zgrab-only",
         action="store_true",
         help="with --population-size on a Chrome-crawl dataset, explicitly "
         "run only the zgrab plane (otherwise that combination is an error)",
-    )
-    p.add_argument("--shards", type=_positive_int, default=1, help="split the population into N shards")
-    p.add_argument("--workers", type=_positive_int, default=1, help="worker pool size for shard execution")
-    p.add_argument(
-        "--executor",
-        choices=("serial", "thread", "process"),
-        default="thread",
-        help="shard execution mode (process = fork-based pool, Linux)",
-    )
-    p.add_argument(
-        "--fault-profile",
-        default="",
-        help="chaos profile: none | mild | heavy | kind=rate,... (e.g. reset=0.2)",
-    )
-    p.add_argument(
-        "--resume-from",
-        default=None,
-        metavar="DIR",
-        help="checkpoint-journal directory; a rerun resumes completed sites from it "
-        "(journals are unpickled on load — use only directories this tool wrote)",
     )
     p.add_argument(
         "--signature-db",
@@ -1567,6 +1442,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="use this signature catalogue (SignatureDatabase JSON) for the "
         "Chrome pass instead of building the reference database",
     )
+    _add_campaign_flags(p)
     _add_obs_flags(p)
     p.set_defaults(func=_cmd_crawl)
 
@@ -1577,8 +1453,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DOMAIN",
         help="domains to ask about (default: a seeded request sample)",
     )
-    p.add_argument("--dataset", choices=("alexa", "com", "net", "org"), default="alexa")
-    p.add_argument("--scale", type=float, default=0.1)
     p.add_argument(
         "--requests",
         type=_positive_int,
@@ -1594,59 +1468,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a seeded open-loop arrival schedule for SECS simulated "
         "seconds instead of the N-request demo (enables --timeseries-interval)",
     )
-    p.add_argument(
-        "--rate",
-        type=float,
-        default=40.0,
-        help="offered load for --duration mode, requests/second",
-    )
-    p.add_argument(
-        "--timeseries-interval",
-        type=float,
-        default=0.0,
-        metavar="SECS",
-        help="with --duration: record windowed telemetry every SECS simulated "
-        "seconds and evaluate the default burn-rate alert rules",
-    )
-    p.add_argument(
-        "--heartbeat",
-        type=float,
-        default=0.0,
-        metavar="SECS",
-        help="with --duration: live progress + service health (queue depth, "
-        "shed rate, degradation tier) every SECS simulated seconds",
-    )
-    p.add_argument(
-        "--run-dir",
-        default=None,
-        metavar="DIR",
-        help="persist run artifacts (metrics, verdicts, timeseries.jsonl) here",
-    )
-    p.add_argument(
-        "--fault-profile",
-        default="",
-        help="chaos profile: none | mild | heavy | kind=rate,...",
-    )
+    _add_service_flags(p)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
         "loadgen", help="seeded open-loop load run against the verdict server"
     )
-    p.add_argument("--dataset", choices=("alexa", "com", "net", "org"), default="alexa")
-    p.add_argument("--scale", type=float, default=0.1)
-    p.add_argument(
-        "--rate", type=float, default=40.0,
-        help="aggregate offered load, requests/second split over tenants",
-    )
     p.add_argument(
         "--duration", type=float, default=30.0, help="simulated seconds of arrivals"
     )
     p.add_argument("--tenants", type=_positive_int, default=4)
-    p.add_argument(
-        "--fault-profile",
-        default="",
-        help="chaos profile: none | mild | heavy | kind=rate,...",
-    )
     p.add_argument(
         "--reload-at",
         type=float,
@@ -1664,22 +1495,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="offer an invalid bundle at simulated time T — rollback demo (repeatable)",
     )
     p.add_argument(
-        "--run-dir",
-        default=None,
-        metavar="DIR",
-        help="persist run artifacts here for `obs slo` / `obs explain`; with "
-        "--timeseries-interval the recorder rewrites timeseries.jsonl "
-        "atomically every tick so `obs top --watch` can follow the run live",
-    )
-    p.add_argument(
-        "--timeseries-interval",
-        type=float,
-        default=0.0,
-        metavar="SECS",
-        help="record windowed telemetry every SECS simulated seconds and "
-        "evaluate the default burn-rate alert rules (0 = off)",
-    )
-    p.add_argument(
         "--cooldown",
         type=float,
         default=0.0,
@@ -1687,14 +1502,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep observing SECS simulated seconds after the last arrival "
         "drains, so recovered burn-rate alerts resolve on tape",
     )
-    p.add_argument(
-        "--heartbeat",
-        type=float,
-        default=0.0,
-        metavar="SECS",
-        help="live progress + service health (queue depth, shed rate, "
-        "degradation tier) every SECS simulated seconds",
-    )
+    _add_service_flags(p)
     p.set_defaults(func=_cmd_loadgen)
 
     p = sub.add_parser("shortlinks", help="run the cnhv.co study")
@@ -1710,37 +1518,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run every experiment, emit a markdown report")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--crawl-scale", type=float, default=0.25)
-    p.add_argument(
-        "--population-size",
-        type=int,
-        default=0,
-        metavar="N",
-        help="stream N-domain populations for the crawls (see `crawl --population-size`)",
-    )
-    p.add_argument("--strata", default="", help="rank strata (see `crawl --strata`)")
-    p.add_argument(
-        "--sample-per-stratum",
-        type=int,
-        default=0,
-        metavar="K",
-        help="sampled ranks per stratum (see `crawl --sample-per-stratum`)",
-    )
     p.add_argument("--shortlink-scale", type=float, default=0.004)
     p.add_argument("--days", type=int, default=28)
-    p.add_argument("--shards", type=_positive_int, default=1, help="crawl shards (see `crawl --shards`)")
-    p.add_argument("--workers", type=_positive_int, default=1, help="crawl worker pool size")
-    p.add_argument("--executor", choices=("serial", "thread", "process"), default="thread")
-    p.add_argument(
-        "--fault-profile",
-        default="",
-        help="chaos profile for the crawls: none | mild | heavy | kind=rate,...",
-    )
-    p.add_argument(
-        "--resume-from",
-        default=None,
-        metavar="DIR",
-        help="crawl checkpoint-journal directory (see `crawl --resume-from`)",
-    )
+    _add_campaign_flags(p)
     _add_obs_flags(p)
     p.set_defaults(func=_cmd_reproduce)
 
@@ -2018,6 +1798,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "timeseries_interval", 0.0) < 0:
+        print("error: --timeseries-interval must be >= 0", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -251,6 +251,40 @@ def write_run(
     return directory
 
 
+def persist_run(
+    run_dir,
+    command: str,
+    params: dict,
+    registry: MetricsRegistry,
+    fault_ledger: FaultLedger,
+    spans: Iterable[Span] = (),
+    verdicts=None,
+    timeseries: Optional[TimeSeries] = None,
+    graph: Optional[Graph] = None,
+    log=print,
+) -> RunManifest:
+    """One command's run-dir write, as every CLI command does it.
+
+    The persisted metrics are ``registry`` plus the fault ledger's
+    counters; ``graph`` defaults to the one the verdicts' evidence implies.
+    """
+    from repro.graph.build import graph_from_verdicts
+
+    manifest = RunManifest.build(command, params)
+    merged = MetricsRegistry()
+    merged.merge(registry)
+    merged.merge(fault_ledger.as_registry())
+    verdicts = list(verdicts or ())
+    write_run(
+        run_dir, manifest, merged, spans, fault_ledger,
+        verdicts=verdicts,
+        timeseries=timeseries,
+        graph=graph if graph is not None else graph_from_verdicts(verdicts),
+    )
+    log(f"run artifacts ({manifest.run_id}) -> {run_dir}")
+    return manifest
+
+
 def load_run(run_dir, allow_torn: bool = False) -> RunArtifacts:
     """Load a run directory back; torn runs raise unless ``allow_torn``."""
     directory = pathlib.Path(run_dir)

@@ -334,3 +334,12 @@ class TestCrawlTimeseries:
             runs.append(run)
         a, b = runs
         assert (a / "timeseries.jsonl").read_bytes() == (b / "timeseries.jsonl").read_bytes()
+
+
+class TestCampaignIntervalValidation:
+    # one check in main() for every command with the flag; it fires before
+    # any crawl work starts
+    @pytest.mark.parametrize("command", ["crawl", "reproduce"])
+    def test_negative_interval_is_exit_2(self, command, capsys):
+        assert main([command, "--timeseries-interval", "-1"]) == 2
+        assert "error: --timeseries-interval must be >= 0" in capsys.readouterr().err
